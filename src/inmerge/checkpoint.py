@@ -11,7 +11,8 @@ Layout (single file, single-pass writable):
                                            "offset": o,   # into payload
                                            "length": l}}}
     payload  concatenated little-endian float32           P bytes
-    trailer  UTF-8 JSON to EOF: config echo (arch / train / merge),
+    trailer  UTF-8 JSON to EOF: config echo (arch / train, the merge
+             config inside train),
              training state scalars, epoch log so far, RNG position
 
 Tensor names are namespaced: ``param/<name>`` for model parameters
@@ -27,13 +28,15 @@ so readers never observe a half-written checkpoint.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .configio import arch_from_dict, arch_to_dict, train_from_dict, train_to_dict
+from .configio import arch_from_dict, train_from_dict
 from .errors import (
     CorruptHeaderError,
     HeaderLayoutError,
@@ -83,11 +86,7 @@ def save(
     ).encode("utf-8")
     trailer = json.dumps(
         {
-            "configs": {
-                "arch": arch_to_dict(arch),
-                "train": train_to_dict(train_cfg),
-                "merge": train_to_dict(train_cfg)["merge"],
-            },
+            "configs": {"arch": asdict(arch), "train": asdict(train_cfg)},
             "state": {
                 "epochs_done": state.epochs_done,
                 "best_epoch": state.best_epoch,
@@ -127,9 +126,18 @@ def load(path: str | Path) -> tuple[Model, TrainState, tuple[ArchConfig, TrainCo
         raise TruncatedFileError(f"{path}: header length {header_len} exceeds file")
     try:
         header = json.loads(blob[header_start : header_start + header_len].decode("utf-8"))
-        entries = header["tensors"]
         payload_bytes = int(header["payload_bytes"])
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        # name -> (dtype, offset, length, shape)
+        entries = {
+            name: (
+                ent.get("dtype"), int(ent["offset"]), int(ent["length"]),
+                tuple(map(int, ent["shape"])),
+            )
+            for name, ent in header["tensors"].items()
+        }
+    except (
+        UnicodeDecodeError, json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError
+    ) as exc:
         raise CorruptHeaderError(f"{path}: unreadable header ({exc!r})") from None
 
     payload_start = header_start + header_len
@@ -140,18 +148,18 @@ def load(path: str | Path) -> tuple[Model, TrainState, tuple[ArchConfig, TrainCo
 
     # validate offsets: ascending, non-overlapping, exact coverage
     covered = 0
-    for name, ent in sorted(entries.items(), key=lambda kv: kv[1]["offset"]):
-        if ent.get("dtype") != "f32":
-            raise UnknownDtypeError(f"{path}: tensor {name!r} has dtype {ent.get('dtype')!r}")
-        if ent["offset"] != covered:
-            verb = "overlaps" if ent["offset"] < covered else "leaves a gap before"
+    for name, (dtype, offset, length, shape) in sorted(entries.items(), key=lambda kv: kv[1][1]):
+        if dtype != "f32":
+            raise UnknownDtypeError(f"{path}: tensor {name!r} has dtype {dtype!r}")
+        if offset != covered:
+            verb = "overlaps" if offset < covered else "leaves a gap before"
             raise HeaderLayoutError(f"{path}: tensor {name!r} {verb} offset {covered}")
-        expect = int(np.prod(ent["shape"], dtype=np.int64)) * 4 if ent["shape"] else 4
-        if ent["length"] != expect:
+        expect = math.prod(shape) * 4
+        if length != expect:
             raise HeaderLayoutError(
-                f"{path}: tensor {name!r} length {ent['length']} != shape size {expect}"
+                f"{path}: tensor {name!r} length {length} != shape size {expect}"
             )
-        covered += ent["length"]
+        covered += length
     if covered != payload_bytes:
         raise HeaderLayoutError(
             f"{path}: tensors cover {covered} bytes, payload declares {payload_bytes}"
@@ -159,43 +167,54 @@ def load(path: str | Path) -> tuple[Model, TrainState, tuple[ArchConfig, TrainCo
 
     try:
         trailer = json.loads(blob[payload_start + payload_bytes :].decode("utf-8"))
-        cfg_d = trailer["configs"]
+        arch_d, train_d = trailer["configs"]["arch"], trailer["configs"]["train"]
         state_d = trailer["state"]
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise CorruptHeaderError(f"{path}: unreadable trailer ({exc!r})") from None
 
-    arch = arch_from_dict(cfg_d["arch"])
-    train_cfg = train_from_dict(cfg_d["train"])
-
-    def tensor(name: str) -> np.ndarray:
-        ent = entries[name]
-        start = payload_start + ent["offset"]
-        flat = np.frombuffer(blob, dtype="<f4", count=ent["length"] // 4, offset=start)
-        return flat.reshape(ent["shape"]).astype(np.float32)
+    arch = arch_from_dict(arch_d)
+    train_cfg = train_from_dict(train_d)
 
     model = build_model(arch, train_cfg.seed)
-    expected = {f"param/{n}" for n in model.param_names()}
-    present = {n for n in entries if n.startswith("param/")}
-    if present != expected:
-        missing = sorted(expected - present)
-        extra = sorted(present - expected)
-        raise HeaderLayoutError(
-            f"{path}: parameter names mismatch (missing {missing}, unexpected {extra})"
-        )
-    for name in model.param_names():
-        model.params[name][...] = tensor(f"param/{name}")
-
-    velocity = {n: tensor(f"momentum/{n}") for n in model.param_names()}
-    best_params = None
+    namespaces = ["param", "momentum"]
     if any(n.startswith("best/") for n in entries):
-        best_params = {n: tensor(f"best/{n}") for n in model.param_names()}
+        namespaces.append("best")
+    expected = {f"{ns}/{n}" for ns in namespaces for n in model.param_names()}
+    if set(entries) != expected:
+        missing = sorted(expected - set(entries))
+        extra = sorted(set(entries) - expected)
+        raise HeaderLayoutError(
+            f"{path}: tensor names mismatch (missing {missing}, unexpected {extra})"
+        )
 
-    state = TrainState(
-        epochs_done=int(state_d["epochs_done"]),
-        velocity=velocity,
-        best_epoch=int(state_d["best_epoch"]),
-        best_metric=state_d["best_metric"],
-        best_params=best_params,
-        records=[EpochRecord.from_record(r) for r in state_d["records"]],
-    )
+    def tensors(ns: str) -> dict[str, np.ndarray]:
+        out = {}
+        for name, want in model.params.items():
+            _, offset, length, shape = entries[f"{ns}/{name}"]
+            if shape != want.shape:
+                raise HeaderLayoutError(
+                    f"{path}: tensor {ns}/{name} has shape {list(shape)}, "
+                    f"model needs {list(want.shape)}"
+                )
+            start = payload_start + offset
+            flat = np.frombuffer(blob, dtype="<f4", count=length // 4, offset=start)
+            out[name] = flat.reshape(shape).astype(np.float32)
+        return out
+
+    for name, value in tensors("param").items():
+        model.params[name][...] = value
+    velocity = tensors("momentum")
+    best_params = tensors("best") if "best" in namespaces else None
+
+    try:
+        state = TrainState(
+            epochs_done=int(state_d["epochs_done"]),
+            velocity=velocity,
+            best_epoch=int(state_d["best_epoch"]),
+            best_metric=state_d["best_metric"],
+            best_params=best_params,
+            records=[EpochRecord.from_record(r) for r in state_d["records"]],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptHeaderError(f"{path}: unreadable trailer state ({exc!r})") from None
     return model, state, (arch, train_cfg)

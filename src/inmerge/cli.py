@@ -1,6 +1,6 @@
 """Command-line surface: train, evaluate, analyze kernels, run ablations.
 
-Commands (see README for config file layout):
+Commands (the run-config layout is documented in ``inmerge.configio``):
 
     inmerge train   --config run.json [--out DIR]
     inmerge eval    --checkpoint PATH --data DIR --split {train,val,test} [--out DIR]
@@ -24,24 +24,19 @@ import shutil
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import checkpoint
-from .configio import (
-    arch_from_dict,
-    arch_to_dict,
-    merge_from_dict,
-    train_from_dict,
-    train_to_dict,
-)
+from .configio import arch_from_dict, train_from_dict
 from .data import DatasetHandle, load_dataset
 from .errors import CheckpointError, ConfigError, DataError, InmergeError, NumericError
 from .merging import MergeConfig, similarity_stats
 from .metrics import roc_points
 from .model import ArchConfig
+from .tensor import log_softmax, sigmoid
 from .training import (
     ProtocolResult,
     TrainConfig,
@@ -95,12 +90,13 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"{path}: data: unknown key(s) {sorted(bad)}")
     if "dir" not in data_sec:
         raise ConfigError(f"{path}: data: missing 'dir'")
-    train_seed = int(doc["train"].get("seed", 0)) if isinstance(doc["train"], dict) else 0
-    merge = merge_from_dict(doc["merge"], default_seed=train_seed) if "merge" in doc else None
+    train = doc["train"]
+    if "merge" in doc and isinstance(train, dict):  # a non-object train fails in train_from_dict
+        train = {**train, "merge": doc["merge"]}
     return RunConfig(
         arch=arch_from_dict(doc["arch"]),
         data_dir=Path(data_sec["dir"]),
-        train=train_from_dict(doc["train"], merge=merge),
+        train=train_from_dict(train),
         out_dir=Path(doc["output"]),
     )
 
@@ -111,9 +107,9 @@ def _dump_json(obj) -> str:
 
 def _echo_dict(arch: ArchConfig, train: TrainConfig, data_dir: Path) -> dict:
     return {
-        "arch": arch_to_dict(arch),
+        "arch": asdict(arch),
         "data": {"dir": str(data_dir)},
-        "train": train_to_dict(train),
+        "train": asdict(train),
     }
 
 
@@ -190,12 +186,12 @@ def cmd_eval(args) -> int:
 def _write_roc_csvs(model, handle: DatasetHandle, split_name: str, out_dir: Path) -> None:
     split = handle.splits[split_name]
     logits = predict_logits(model, split, handle)
+    logits = logits.astype(np.float64)
     if handle.task == "multilabel":
-        scores = 1.0 / (1.0 + np.exp(-logits.astype(np.float64)))
+        scores = sigmoid(logits)
         onehot = split.labels
     else:
-        shifted = logits.astype(np.float64) - logits.max(axis=1, keepdims=True)
-        scores = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+        scores = np.exp(log_softmax(logits))
         onehot = (split.labels[:, None] == np.arange(handle.num_classes)[None, :]).astype(np.uint8)
     for k in range(handle.num_classes):
         labels = onehot[:, k]

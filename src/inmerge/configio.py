@@ -1,13 +1,26 @@
-"""Config <-> plain-dict conversion with strict key checking.
+"""Plain-dict -> config conversion with strict key checking.
 
 Used by the checkpoint trailer (config echo) and the CLI's run-config
-files. Unknown keys are rejected everywhere so a typo like "aplha" fails
-loudly instead of silently training with a default.
+files; the other direction is ``dataclasses.asdict``. Unknown keys are
+rejected everywhere so a typo like "aplha" fails loudly instead of
+silently training with a default.
+
+Run-config layout (JSON)::
+
+    {"arch": {ArchConfig fields; "layers": [{LayerSpec fields}, ...]},
+     "data": {"dir": dataset directory},
+     "train": {TrainConfig fields}, "merge": {MergeConfig fields},
+     "output": output directory}
+
+"merge" is optional and overrides "train.merge"; without a seed it takes
+the train seed. Keys, defaults and casts come from the dataclass fields:
+a missing key takes the field's default, and a ``bool`` field accepts
+only a JSON boolean.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict
+from dataclasses import MISSING, fields, replace
 
 from .errors import ConfigError
 from .layers import LayerSpec
@@ -16,119 +29,79 @@ from .model import ArchConfig
 from .training import TrainConfig
 
 
-def _check_keys(section: str, given: dict, allowed: set[str]) -> None:
-    unknown = set(given) - allowed
+def _json_bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _int_tuple(value) -> tuple[int, ...]:
+    if not isinstance(value, list | tuple):
+        raise ValueError(f"expected a list of integers, got {value!r}")
+    return tuple(int(v) for v in value)
+
+
+def _optional(cast):
+    return lambda value: None if value is None else cast(value)
+
+
+_CASTS = {"int": int, "float": float, "str": str, "bool": _json_bool}
+
+
+def _build(cls, section: str, d, casts=None, **defaults):
+    """``cls`` built from ``d``: unknown or missing-required keys rejected,
+    every given value cast per its field type (or ``casts[name]``), absent
+    ones left to ``defaults`` and then to the dataclass default."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{section}: must be an object, got {type(d).__name__}")
+    known = {f.name: f for f in fields(cls)}
+    unknown = set(d) - set(known)
     if unknown:
-        raise ConfigError(f"{section}: unknown key(s) {sorted(unknown)}; allowed: {sorted(allowed)}")
-
-
-def _require(section: str, given: dict, key: str):
-    if key not in given:
-        raise ConfigError(f"{section}: missing required key {key!r}")
-    return given[key]
-
-
-MERGE_KEYS = {"alpha", "merge_prob", "sim_threshold", "skip_layers", "seed", "invert_gate"}
-
-
-def merge_to_dict(cfg: MergeConfig) -> dict:
-    return asdict(cfg)
+        raise ConfigError(f"{section}: unknown key(s) {sorted(unknown)}; allowed: {sorted(known)}")
+    for name, f in known.items():
+        if f.default is MISSING and name not in d:
+            raise ConfigError(f"{section}: missing required key {name!r}")
+    kwargs = dict(defaults)
+    for key, value in d.items():
+        cast = (casts or {}).get(key) or _CASTS[known[key].type]
+        try:
+            kwargs[key] = cast(value)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{section}.{key}: {exc}") from None
+    return cls(**kwargs)
 
 
 def merge_from_dict(d: dict, default_seed: int = 0) -> MergeConfig:
-    _check_keys("merge", d, MERGE_KEYS)
-    try:
-        cfg = MergeConfig(
-            alpha=float(d.get("alpha", 0.8)),
-            merge_prob=float(d.get("merge_prob", 0.3)),
-            sim_threshold=float(d.get("sim_threshold", 0.3)),
-            skip_layers=int(d.get("skip_layers", 0)),
-            seed=int(d.get("seed", default_seed)),
-            invert_gate=bool(d.get("invert_gate", False)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"merge: {exc}") from None
+    cfg = _build(MergeConfig, "merge", d, seed=default_seed)
     cfg.validate()
     return cfg
 
 
-TRAIN_KEYS = {
-    "lr0", "momentum", "weight_decay", "milestones", "gamma", "batch_size",
-    "epochs_pretrain", "epochs_inmerge", "seed", "augment",
-}
-
-
-def train_to_dict(cfg: TrainConfig) -> dict:
-    d = asdict(cfg)
-    d["milestones"] = list(cfg.milestones) if cfg.milestones is not None else None
-    d["merge"] = merge_to_dict(cfg.merge) if cfg.merge is not None else None
-    return d
-
-
-def train_from_dict(d: dict, merge: MergeConfig | None = None) -> TrainConfig:
-    d = dict(d)
-    embedded = d.pop("merge", None)
-    _check_keys("train", d, TRAIN_KEYS)
-    if embedded is not None and merge is None:
-        merge = merge_from_dict(embedded, default_seed=int(d.get("seed", 0)))
-    milestones = d.get("milestones")
-    try:
-        cfg = TrainConfig(
-            lr0=float(d.get("lr0", 0.01)),
-            momentum=float(d.get("momentum", 0.9)),
-            weight_decay=float(d.get("weight_decay", 1e-4)),
-            milestones=tuple(int(m) for m in milestones) if milestones is not None else None,
-            gamma=float(d.get("gamma", 0.1)),
-            batch_size=int(d.get("batch_size", 128)),
-            epochs_pretrain=int(d.get("epochs_pretrain", 20)),
-            epochs_inmerge=int(d.get("epochs_inmerge", 5)),
-            seed=int(d.get("seed", 0)),
-            augment=bool(d.get("augment", False)),
-            merge=merge,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"train: {exc}") from None
+def train_from_dict(d: dict) -> TrainConfig:
+    cfg = _build(
+        TrainConfig, "train", d,
+        casts={"milestones": _optional(_int_tuple), "merge": lambda merge: merge},
+    )
+    if cfg.merge is not None:
+        cfg = replace(cfg, merge=merge_from_dict(cfg.merge, default_seed=cfg.seed))
     cfg.validate()
     return cfg
 
 
-ARCH_KEYS = {"input_shape", "num_classes", "head", "preset", "layers"}
-LAYER_KEYS = {
-    "kind", "out_channels", "in_channels", "kernel_h", "kernel_w",
-    "stride", "padding", "window", "in_features", "out_features",
-}
-
-
-def arch_to_dict(cfg: ArchConfig) -> dict:
-    d = {
-        "input_shape": list(cfg.input_shape),
-        "num_classes": cfg.num_classes,
-        "head": cfg.head,
-        "preset": cfg.preset,
-        "layers": [asdict(s) for s in cfg.layers] if cfg.layers is not None else None,
-    }
-    return d
+def _layers_from_list(layers) -> tuple[LayerSpec, ...]:
+    return tuple(_build(LayerSpec, f"arch.layers[{i}]", ld) for i, ld in enumerate(layers))
 
 
 def arch_from_dict(d: dict) -> ArchConfig:
-    _check_keys("arch", d, ARCH_KEYS)
-    shape = _require("arch", d, "input_shape")
-    try:
-        layers = d.get("layers")
-        if layers is not None:
-            specs = []
-            for i, ld in enumerate(layers):
-                _check_keys(f"arch.layers[{i}]", ld, LAYER_KEYS)
-                specs.append(LayerSpec(**ld))
-            layers = tuple(specs)
-        cfg = ArchConfig(
-            input_shape=tuple(int(v) for v in shape),
-            num_classes=int(_require("arch", d, "num_classes")),
-            head=str(d.get("head", "multiclass")),
-            preset=d.get("preset"),
-            layers=layers,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"arch: {exc}") from None
+    cfg = _build(
+        ArchConfig, "arch", d,
+        casts={
+            "input_shape": _int_tuple,
+            "preset": _optional(str),
+            "layers": _optional(_layers_from_list),
+        },
+    )
     cfg.validate()
     return cfg

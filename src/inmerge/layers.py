@@ -1,5 +1,12 @@
 """Forward/backward math for every layer kind the engine supports.
 
+This module holds the math and the ``*_spec`` constructors, which are the
+one place each kind's fields are checked. How a kind is wired into a
+model - field check, shape rule, parameter init, forward and backward -
+is one entry of the kind table in ``model``. The output-extent rule and
+the stable sigmoid / log-softmax used by the loss heads live in
+``tensor``.
+
 All functions are pure: they allocate fresh outputs and never mutate
 their inputs, so identical inputs give bit-identical outputs. Backward
 functions return exact analytic gradients of the forward contracts;
@@ -27,18 +34,17 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import LabelDomainError, ShapeError
-from .tensor import ensure_finite, out_extent
-
-LAYER_KINDS = ("conv2d", "relu", "maxpool2d", "dense", "flatten")
+from .tensor import ensure_finite, log_softmax, out_extent, sigmoid
 
 
 @dataclass(frozen=True)
 class LayerSpec:
     """Declarative description of one layer.
 
-    Only the fields relevant to ``kind`` are meaningful; use the
+    Only the fields relevant to ``kind`` are meaningful. The
     ``conv_spec``/``pool_spec``/``dense_spec``/``relu_spec``/``flatten_spec``
-    constructors, which validate them.
+    constructors validate them; a spec built directly is checked by the
+    same constructors when a model is built from it.
     """
 
     kind: str
@@ -331,9 +337,7 @@ def softmax_ce_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.n
         raise ShapeError(f"softmax_ce_loss: labels shape {labels.shape} != ({n},)")
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise LabelDomainError(f"softmax_ce_loss: labels must lie in [0, {k})")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_p = shifted - log_z
+    log_p = log_softmax(logits)
     loss = _narrow(-log_p[np.arange(n), labels].astype(np.float64).mean(), logits.dtype)
     grad = np.exp(log_p)
     grad[np.arange(n), labels] -= 1
@@ -360,12 +364,6 @@ def sigmoid_bce_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.
     z = logits
     per_elem = np.maximum(z, 0) - z * y + np.log1p(np.exp(-np.abs(z)))
     loss = _narrow(per_elem.astype(np.float64).mean(), logits.dtype)
-    # stable sigmoid
-    sig = np.empty_like(z)
-    pos = z >= 0
-    sig[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    sig[~pos] = ez / (1.0 + ez)
-    grad = (sig - y) / z.size
+    grad = (sigmoid(z) - y) / z.size
     ensure_finite("sigmoid_bce_loss", grad)
     return loss, grad

@@ -22,7 +22,7 @@ sweep replayable from its seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -72,7 +72,6 @@ class LayerSweepStats:
     ordinal: int
     kernels: int
     draws: int = 0
-    gate_passes: int = 0
     merges: int = 0
     zero_norm_skips: int = 0
     singleton: bool = False
@@ -105,28 +104,13 @@ class MergeReport:
         return sum(s.draws for s in self.layers)
 
     @property
-    def gate_passes(self) -> int:
-        return sum(s.gate_passes for s in self.layers)
-
-    @property
     def merges_applied(self) -> int:
         return sum(s.merges for s in self.layers)
 
     def to_record(self) -> dict:
         """JSON-able summary (events excluded)."""
         return {
-            "layers": [
-                {
-                    "ordinal": s.ordinal,
-                    "kernels": s.kernels,
-                    "draws": s.draws,
-                    "gate_passes": s.gate_passes,
-                    "merges": s.merges,
-                    "zero_norm_skips": s.zero_norm_skips,
-                    "singleton": s.singleton,
-                }
-                for s in self.layers
-            ],
+            "layers": [asdict(s) for s in self.layers],
             "totals": {
                 "kernels": self.kernels_considered,
                 "draws": self.draws,
@@ -159,6 +143,19 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     if naa <= NORM_EPS**2 or nbb <= NORM_EPS**2:
         raise NumericError("cosine_similarity: zero-norm vector")
     return float(np.clip((a64 @ b64) / math.sqrt(naa * nbb), -1.0, 1.0))
+
+
+def _cosine_matrix(weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 cosine similarity of every kernel pair of a layer, clipped
+    to [-1, 1], and the mask of kernels with norm <= 1e-12 (or a NaN
+    norm). Rows and columns of masked kernels hold no meaningful value."""
+    n = weight.shape[0]
+    flat = weight.reshape(n, -1).astype(np.float64)
+    norms_sq = np.einsum("ij,ij->i", flat, flat)
+    # dot / sqrt(|a|^2 |b|^2): identical kernels land on exactly 1.0
+    denom = np.sqrt(np.outer(norms_sq, norms_sq))
+    denom[denom == 0.0] = 1.0  # only reached by masked kernels
+    return np.clip((flat @ flat.T) / denom, -1.0, 1.0), ~(norms_sq > NORM_EPS**2)
 
 
 def merge_pair(k_i: np.ndarray, k_j: np.ndarray, alpha: float) -> np.ndarray:
@@ -202,8 +199,7 @@ def inmerge_sweep(
             stats.singleton = True
             continue
         snapshot = weight.copy()
-        flat = snapshot.reshape(n, -1).astype(np.float64)
-        norms_sq = np.einsum("ij,ij->i", flat, flat)
+        sims, zero_norm = _cosine_matrix(snapshot)
         for i in range(n):
             if rng.random() >= cfg.merge_prob:
                 continue
@@ -211,12 +207,12 @@ def inmerge_sweep(
             j = int(rng.integers(0, n - 1))
             if j >= i:
                 j += 1
-            if norms_sq[i] <= NORM_EPS**2 or norms_sq[j] <= NORM_EPS**2:
+            if zero_norm[i] or zero_norm[j]:
                 stats.zero_norm_skips += 1
                 if record_events:
                     report.events.append(MergeEvent(ordinal, i, j, math.nan, False))
                 continue
-            sim = float(np.clip(flat[i] @ flat[j] / math.sqrt(norms_sq[i] * norms_sq[j]), -1.0, 1.0))
+            sim = float(sims[i, j])
             if cfg.invert_gate:
                 passed = sim < cfg.sim_threshold
             else:
@@ -224,7 +220,6 @@ def inmerge_sweep(
             if record_events:
                 report.events.append(MergeEvent(ordinal, i, j, sim, passed))
             if passed:
-                stats.gate_passes += 1
                 stats.merges += 1
                 weight[i] = merge_pair(snapshot[i], snapshot[j], cfg.alpha)
     return report
@@ -274,31 +269,16 @@ def similarity_stats(model: Model, layer_ordinal: int, bins: int = 20) -> Simila
             f"similarity_stats: no conv layer with ordinal {layer_ordinal} "
             f"(model has {model.n_conv})"
         )
-    n = weight.shape[0]
-    flat = weight.reshape(n, -1).astype(np.float64)
-    norms_sq = np.einsum("ij,ij->i", flat, flat)
-    ok = norms_sq > NORM_EPS**2
-    zero_norm = [int(i) for i in np.flatnonzero(~ok)]
-    pairs: list[tuple[int, int, float]] = []
-    sims: list[float] = []
-    # dot / sqrt(|a|^2 |b|^2): identical kernels land on exactly 1.0
-    denom = np.sqrt(np.outer(norms_sq, norms_sq))
-    denom[denom == 0.0] = 1.0  # masked out via `ok` below
-    gram = np.clip((flat @ flat.T) / denom, -1.0, 1.0)
-    for i in range(n):
-        if not ok[i]:
-            continue
-        for j in range(i + 1, n):
-            if not ok[j]:
-                continue
-            s = float(gram[i, j])
-            pairs.append((i, j, s))
-            sims.append(s)
-    hist, edges = np.histogram(sims, bins=bins, range=(-1.0, 1.0))
+    sims, zero_norm = _cosine_matrix(weight)
+    ii, jj = np.triu_indices(weight.shape[0], k=1)
+    keep = ~(zero_norm[ii] | zero_norm[jj])
+    ii, jj = ii[keep], jj[keep]
+    values = sims[ii, jj]
+    hist, edges = np.histogram(values, bins=bins, range=(-1.0, 1.0))
     return SimilarityStats(
         ordinal=layer_ordinal,
-        pairs=pairs,
-        zero_norm_kernels=zero_norm,
+        pairs=list(zip(ii.tolist(), jj.tolist(), values.tolist())),
+        zero_norm_kernels=np.flatnonzero(zero_norm).tolist(),
         histogram=[int(c) for c in hist],
         bin_edges=[float(e) for e in edges],
     )

@@ -12,7 +12,7 @@ AUROC, because imputation silently biases small desk-scale splits.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -37,14 +37,7 @@ class MetricBundle:
     absent_classes: list[int] = field(default_factory=list)
 
     def to_record(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "loss": self.loss,
-            "accuracy": self.accuracy,
-            "per_class_auroc": self.per_class_auroc,
-            "mean_auroc": self.mean_auroc,
-            "absent_classes": self.absent_classes,
-        }
+        return asdict(self)
 
 
 def accuracy(predicted: np.ndarray, actual: np.ndarray) -> float:

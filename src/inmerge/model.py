@@ -1,4 +1,12 @@
-"""Model assembly: layer stacks, parameter registry, conv-layer ordering.
+"""Model assembly: the layer-kind table, layer stacks, parameter registry,
+conv-layer ordering.
+
+``KINDS`` maps each layer kind to one ``LayerKind`` entry: its field
+check (the ``layers.*_spec`` constructor), its shape rule (conv and pool
+extents come from ``tensor.out_extent``), its parameter init, and its
+forward and backward calls into the ``layers`` math. Shape inference,
+``build_model``, ``Model.forward`` and ``Model.backward`` all walk this
+table, so adding a kind touches one place.
 
 A Model owns an ordered list of LayerSpecs plus a name -> ndarray
 parameter registry. Convolution layers additionally carry a global
@@ -19,10 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import seeding
+from .data import TASKS
 from .errors import ConfigError, ShapeError
 from .layers import (
     LayerSpec,
@@ -42,9 +52,8 @@ from .layers import (
     relu_backward,
     relu_spec,
 )
-from .tensor import DTYPE
+from .tensor import DTYPE, out_extent
 
-HEAD_KINDS = ("multiclass", "multilabel")
 PRESETS = ("tiny_cnn", "small_vgg_d")
 
 
@@ -64,8 +73,8 @@ class ArchConfig:
             raise ConfigError(f"input_shape must be 3 positive extents, got {self.input_shape}")
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.head not in HEAD_KINDS:
-            raise ConfigError(f"head must be one of {HEAD_KINDS}, got {self.head!r}")
+        if self.head not in TASKS:
+            raise ConfigError(f"head must be one of {TASKS}, got {self.head!r}")
         if (self.preset is None) == (self.layers is None):
             raise ConfigError("exactly one of preset / layers must be given")
         if self.preset is not None and self.preset not in PRESETS:
@@ -107,54 +116,126 @@ def resolve_layers(config: ArchConfig) -> list[LayerSpec]:
     feat = _walk_shapes(body, config.input_shape)
     if len(feat) != 1:
         body.append(flatten_spec())
-        feat = (int(np.prod(feat)),)
+        feat = (math.prod(feat),)
     body.append(dense_spec(feat[0], config.num_classes))
     return body
 
 
 def _walk_shapes(layers: list[LayerSpec], input_shape: tuple[int, ...]) -> tuple[int, ...]:
-    """Validate the stack by shape inference; returns the per-sample output
-    shape. Raises ShapeError on any inconsistency."""
+    """Validate the stack by field checks and shape inference; returns the
+    per-sample output shape. Raises ShapeError on any inconsistency."""
     shape = tuple(input_shape)
     for pos, spec in enumerate(layers):
         try:
-            if spec.kind == "conv2d":
-                if len(shape) != 3 or shape[0] != spec.in_channels:
-                    raise ShapeError(
-                        f"expects {spec.in_channels} channels, gets shape {shape}"
-                    )
-                h = _extent(shape[1], spec.kernel_h, spec.stride, spec.padding)
-                w = _extent(shape[2], spec.kernel_w, spec.stride, spec.padding)
-                shape = (spec.out_channels, h, w)
-            elif spec.kind == "maxpool2d":
-                if len(shape) != 3:
-                    raise ShapeError(f"needs a spatial input, gets shape {shape}")
-                h = _extent(shape[1], spec.window, spec.stride, 0)
-                w = _extent(shape[2], spec.window, spec.stride, 0)
-                shape = (shape[0], h, w)
-            elif spec.kind == "flatten":
-                shape = (int(np.prod(shape)),)
-            elif spec.kind == "dense":
-                if len(shape) != 1 or shape[0] != spec.in_features:
-                    raise ShapeError(
-                        f"expects {spec.in_features} features, gets shape {shape}"
-                    )
-                shape = (spec.out_features,)
-            elif spec.kind != "relu":
+            if spec.kind not in KINDS:
                 raise ShapeError(f"unknown layer kind {spec.kind!r}")
+            kind = KINDS[spec.kind]
+            kind.check(spec)
+            shape = kind.shape(spec, shape)
         except ShapeError as exc:
             raise ShapeError(f"layer {pos} ({spec.kind}): {exc}") from None
     return shape
 
 
-def _extent(size: int, kernel: int, stride: int, padding: int) -> int:
-    span = size + 2 * padding - kernel
-    if span < 0 or span % stride != 0:
-        raise ShapeError(
-            f"extent {size} with kernel {kernel}, stride {stride}, padding {padding} "
-            "gives a non-integer output extent"
-        )
-    return span // stride + 1
+# ---------------------------------------------------------------------------
+# the kind table
+#
+# Forward and backward functions look the layer math up in this module's
+# namespace at call time, so a caller that swaps ``model.conv2d_forward``
+# and friends (as the benchmark's tracer does) sees every call.
+
+
+def _window_shape(shape, channels, kh, kw, stride, padding) -> tuple[int, ...]:
+    """(channels, h_out, w_out) of a sliding window over a (C, H, W) input."""
+    if len(shape) != 3:
+        raise ShapeError(f"needs a spatial input, gets shape {shape}")
+    return (
+        channels,
+        out_extent(shape[1], kh, stride, padding, "height"),
+        out_extent(shape[2], kw, stride, padding, "width"),
+    )
+
+
+def _conv_shape(s: LayerSpec, shape: tuple[int, ...]) -> tuple[int, ...]:
+    if len(shape) == 3 and shape[0] != s.in_channels:
+        raise ShapeError(f"expects {s.in_channels} channels, gets shape {shape}")
+    return _window_shape(shape, s.out_channels, s.kernel_h, s.kernel_w, s.stride, s.padding)
+
+
+def _dense_shape(s: LayerSpec, shape: tuple[int, ...]) -> tuple[int, ...]:
+    if len(shape) != 1 or shape[0] != s.in_features:
+        raise ShapeError(f"expects {s.in_features} features, gets shape {shape}")
+    return (s.out_features,)
+
+
+def _conv_forward(s: LayerSpec, x, w, b, want_cache: bool):
+    if not want_cache:
+        return conv2d_forward(x, w, b, s.stride, s.padding), None
+    cols: list = []
+    out = conv2d_forward(x, w, b, s.stride, s.padding, _cols_out=cols)
+    return out, (x, cols[0])
+
+
+@dataclass(frozen=True)
+class LayerKind:
+    """How one layer kind takes part in a model.
+
+    check     raises ShapeError when the spec's fields are invalid
+    shape     (spec, per-sample input shape) -> per-sample output shape
+    forward   (spec, x, weight, bias, want_cache) -> (output, cache)
+    backward  (spec, grad, cache, weight) -> input grad, or with parameters
+              (input grad, weight grad, bias grad)
+    prefix    parameter-name prefix (``conv`` -> ``conv0.weight``); None: no
+              parameters. Weights are He-uniform over ``weight_shape``'s
+              trailing extents as fan-in; biases start at zero.
+    """
+
+    shape: Callable[[LayerSpec, tuple[int, ...]], tuple[int, ...]]
+    forward: Callable
+    backward: Callable
+    check: Callable[[LayerSpec], object] = lambda s: None
+    prefix: str | None = None
+    weight_shape: Callable[[LayerSpec], tuple[int, ...]] | None = None
+
+
+KINDS: dict[str, LayerKind] = {
+    "conv2d": LayerKind(
+        check=lambda s: conv_spec(
+            s.out_channels, s.in_channels, s.kernel_h, s.kernel_w, s.stride, s.padding
+        ),
+        shape=_conv_shape,
+        forward=_conv_forward,
+        backward=lambda s, g, cache, w: conv2d_backward(
+            g, cache[0], w, s.stride, s.padding, cols=cache[1]
+        ),
+        prefix="conv",
+        weight_shape=lambda s: (s.out_channels, s.in_channels, s.kernel_h, s.kernel_w),
+    ),
+    "relu": LayerKind(
+        shape=lambda s, shape: shape,
+        forward=lambda s, x, w, b, want_cache: (relu(x), x),
+        backward=lambda s, g, x, w: relu_backward(g, x),
+    ),
+    "maxpool2d": LayerKind(
+        check=lambda s: pool_spec(s.window, s.stride),
+        shape=lambda s, shape: _window_shape(shape, shape[0], s.window, s.window, s.stride, 0),
+        forward=lambda s, x, w, b, want_cache: maxpool2d(x, s.window, s.stride),
+        backward=lambda s, g, cache, w: maxpool2d_backward(g, cache),
+    ),
+    "flatten": LayerKind(
+        shape=lambda s, shape: (math.prod(shape),),
+        forward=lambda s, x, w, b, want_cache: (flatten_forward(x), x.shape),
+        backward=lambda s, g, in_shape, w: flatten_backward(g, in_shape),
+    ),
+    "dense": LayerKind(
+        check=lambda s: dense_spec(s.in_features, s.out_features),
+        shape=_dense_shape,
+        forward=lambda s, x, w, b, want_cache: (dense_forward(x, w, b), x),
+        backward=lambda s, g, x, w: dense_backward(g, x, w),
+        prefix="dense",
+        weight_shape=lambda s: (s.out_features, s.in_features),
+    ),
+}
 
 
 @dataclass
@@ -230,34 +311,13 @@ class Model:
             )
         caches = [] if want_caches else None
         h = x
-        for pos, spec in enumerate(self.layers):
-            base = self._names[pos]
-            if spec.kind == "conv2d":
+        for spec, base in zip(self.layers, self._names):
+            w = b = None
+            if base is not None:
                 w, b = self.params[f"{base}.weight"], self.params[f"{base}.bias"]
-                if want_caches:
-                    cols_box: list = []
-                    x_in = h
-                    h = conv2d_forward(h, w, b, spec.stride, spec.padding, _cols_out=cols_box)
-                    caches.append((x_in, cols_box[0]))
-                else:
-                    h = conv2d_forward(h, w, b, spec.stride, spec.padding)
-            elif spec.kind == "relu":
-                if want_caches:
-                    caches.append(h)
-                h = relu(h)
-            elif spec.kind == "maxpool2d":
-                h, cache = maxpool2d(h, spec.window, spec.stride)
-                if want_caches:
-                    caches.append(cache)
-            elif spec.kind == "flatten":
-                if want_caches:
-                    caches.append(h.shape)
-                h = flatten_forward(h)
-            else:  # dense
-                w, b = self.params[f"{base}.weight"], self.params[f"{base}.bias"]
-                if want_caches:
-                    caches.append(h)
-                h = dense_forward(h, w, b)
+            h, cache = KINDS[spec.kind].forward(spec, h, w, b, want_caches)
+            if want_caches:
+                caches.append(cache)
         return (h, caches) if want_caches else h
 
     def backward(self, grad_logits: np.ndarray, caches: list) -> dict[str, np.ndarray]:
@@ -266,22 +326,14 @@ class Model:
         grads: dict[str, np.ndarray] = {}
         g = grad_logits
         for pos in range(len(self.layers) - 1, -1, -1):
-            spec, cache, base = self.layers[pos], caches[pos], self._names[pos]
-            if spec.kind == "conv2d":
+            spec, base = self.layers[pos], self._names[pos]
+            if base is None:
+                g = KINDS[spec.kind].backward(spec, g, caches[pos], None)
+            else:
                 w = self.params[f"{base}.weight"]
-                x_in, cols = cache
-                g, gw, gb = conv2d_backward(g, x_in, w, spec.stride, spec.padding, cols=cols)
-                grads[f"{base}.weight"], grads[f"{base}.bias"] = gw, gb
-            elif spec.kind == "relu":
-                g = relu_backward(g, cache)
-            elif spec.kind == "maxpool2d":
-                g = maxpool2d_backward(g, cache)
-            elif spec.kind == "flatten":
-                g = flatten_backward(g, cache)
-            else:  # dense
-                w = self.params[f"{base}.weight"]
-                g, gw, gb = dense_backward(g, cache, w)
-                grads[f"{base}.weight"], grads[f"{base}.bias"] = gw, gb
+                g, grads[f"{base}.weight"], grads[f"{base}.bias"] = KINDS[spec.kind].backward(
+                    spec, g, caches[pos], w
+                )
         return grads
 
 
@@ -298,23 +350,19 @@ def build_model(config: ArchConfig, seed: int) -> Model:
     params: dict[str, np.ndarray] = {}
     names: list[str | None] = []
     conv_index: dict[int, int] = {}
-    n_conv = n_dense = 0
+    counts: dict[str, int] = {}
     for pos, spec in enumerate(layers):
-        if spec.kind == "conv2d":
-            base = f"conv{n_conv}"
-            conv_index[pos] = n_conv
-            n_conv += 1
-            fan_in = spec.in_channels * spec.kernel_h * spec.kernel_w
-            shape = (spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w)
-        elif spec.kind == "dense":
-            base = f"dense{n_dense}"
-            n_dense += 1
-            fan_in = spec.in_features
-            shape = (spec.out_features, spec.in_features)
-        else:
+        kind = KINDS[spec.kind]
+        if kind.prefix is None:
             names.append(None)
             continue
-        limit = math.sqrt(6.0 / fan_in)
+        ordinal = counts.get(kind.prefix, 0)
+        counts[kind.prefix] = ordinal + 1
+        if kind.prefix == "conv":
+            conv_index[pos] = ordinal
+        base = f"{kind.prefix}{ordinal}"
+        shape = kind.weight_shape(spec)
+        limit = math.sqrt(6.0 / math.prod(shape[1:]))
         params[f"{base}.weight"] = rng.uniform(-limit, limit, size=shape).astype(DTYPE)
         params[f"{base}.bias"] = np.zeros(shape[0], dtype=DTYPE)
         names.append(base)

@@ -2,8 +2,10 @@
 
 Tensors are plain numpy ndarrays: row-major, float32 on the production
 data plane (uint8 for stored images). These helpers centralize
-construction, the output-extent rule shared by convolution and pooling,
-and the finiteness contract every public operation upholds.
+construction, the output-extent rule shared by convolution and pooling
+(layer math and model shape inference alike), the numerically stable
+sigmoid and log-softmax shared by the loss heads, evaluation and ROC
+export, and the finiteness contract every public operation upholds.
 """
 
 from __future__ import annotations
@@ -13,11 +15,6 @@ import numpy as np
 from .errors import NumericError, ShapeError
 
 DTYPE = np.float32
-
-
-def as_f32(values) -> np.ndarray:
-    """C-contiguous float32 array holding ``values``."""
-    return np.ascontiguousarray(values, dtype=DTYPE)
 
 
 def ensure_finite(op: str, *arrays: np.ndarray) -> None:
@@ -43,3 +40,21 @@ def out_extent(size: int, kernel: int, stride: int, padding: int, axis: str) -> 
             f"padding {padding} gives a non-integer output extent"
         )
     return span // stride + 1
+
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Element-wise logistic function in the input dtype; never overflows,
+    since ``exp`` only ever sees non-positive arguments."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def log_softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax of 2-d logits via the log-sum-exp shift, so
+    extreme logits do not overflow."""
+    shifted = z - z.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))

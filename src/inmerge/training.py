@@ -17,7 +17,7 @@ cannot perturb shuffling or augmentation.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .layers import sigmoid_bce_loss, softmax_ce_loss
 from .merging import MergeConfig, MergeReport, inmerge_sweep
 from .metrics import MetricBundle, accuracy, mean_auroc, per_class_auroc
 from .model import ArchConfig, Model, build_model
+from .tensor import sigmoid
 
 PHASES = ("pretrain", "inmerge")
 EVAL_BATCH = 256  # fixed so metrics reproduce bit-exactly in any context
@@ -92,18 +93,7 @@ class EpochRecord:
     is_best: bool
 
     def to_record(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "phase": self.phase,
-            "lr": self.lr,
-            "train_loss": self.train_loss,
-            "val_loss": self.val_loss,
-            "val_metric": self.val_metric,
-            "merge_sweeps": self.merge_sweeps,
-            "merge_draws": self.merge_draws,
-            "merge_applied": self.merge_applied,
-            "is_best": self.is_best,
-        }
+        return asdict(self)
 
     @classmethod
     def from_record(cls, rec: dict) -> "EpochRecord":
@@ -170,6 +160,14 @@ def _batch_loss(model: Model, logits: np.ndarray, labels: np.ndarray):
     return sigmoid_bce_loss(logits, labels)
 
 
+def _check_head(arch: ArchConfig, data: DatasetHandle) -> None:
+    if arch.head != data.task or arch.num_classes != data.num_classes:
+        raise ConfigError(
+            f"model head {arch.head}/{arch.num_classes} does not match "
+            f"dataset {data.task}/{data.num_classes}"
+        )
+
+
 def train_epoch(
     model: Model,
     data: DatasetHandle,
@@ -184,11 +182,7 @@ def train_epoch(
     seeds plus the epoch index."""
     if phase not in PHASES:
         raise ConfigError(f"phase must be one of {PHASES}, got {phase!r}")
-    if model.head != data.task or model.num_classes != data.num_classes:
-        raise ConfigError(
-            f"model head {model.head}/{model.num_classes} does not match "
-            f"dataset {data.task}/{data.num_classes}"
-        )
+    _check_head(model.arch, data)
     split = data.splits["train"]
     if len(split) == 0:
         raise DataError("train split is empty")
@@ -237,11 +231,7 @@ def evaluate(model: Model, data: DatasetHandle, split_name: str = "val") -> Metr
     Multiclass: loss + accuracy. Multilabel: loss + per-class AUROC and
     their mean over the classes where it is defined.
     """
-    if model.head != data.task or model.num_classes != data.num_classes:
-        raise ConfigError(
-            f"model head {model.head}/{model.num_classes} does not match "
-            f"dataset {data.task}/{data.num_classes}"
-        )
+    _check_head(model.arch, data)
     if split_name not in data.splits:
         raise ConfigError(f"unknown split {split_name!r}")
     split = data.splits[split_name]
@@ -253,7 +243,7 @@ def evaluate(model: Model, data: DatasetHandle, split_name: str = "val") -> Metr
     if model.head == "multiclass":
         bundle.accuracy = accuracy(logits.argmax(axis=1), split.labels)
     else:
-        scores = _sigmoid(logits)
+        scores = sigmoid(logits)
         values, absent = per_class_auroc(scores, split.labels)
         bundle.per_class_auroc = values
         bundle.absent_classes = absent
@@ -267,15 +257,6 @@ def predict_logits(model: Model, split: Split, data: DatasetHandle) -> np.ndarra
     for ids in batch_iter(split, EVAL_BATCH, rng=None):
         outputs.append(model.forward(normalize(split.images[ids], data.mean, data.std)))
     return np.concatenate(outputs, axis=0)
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def val_metric_of(bundle: MetricBundle, task: str) -> float:
@@ -319,11 +300,7 @@ def run_protocol(
     """
     cfg.validate()
     arch.validate()
-    if arch.head != data.task or arch.num_classes != data.num_classes:
-        raise ConfigError(
-            f"arch head {arch.head}/{arch.num_classes} does not match "
-            f"dataset {data.task}/{data.num_classes}"
-        )
+    _check_head(arch, data)
     if any(len(data.splits[s]) == 0 for s in ("train", "val")):
         raise DataError("train and val splits must be non-empty")
     model = build_model(arch, cfg.seed)

@@ -8,6 +8,7 @@ import pytest
 
 from inmerge import MergeConfig, synth_make
 from inmerge.checkpoint import MAGIC, load, save
+from inmerge.cli import main
 from inmerge.errors import (
     CorruptHeaderError,
     HeaderLayoutError,
@@ -33,6 +34,21 @@ def write_checkpoint(tmp_path, seed=3):
     path = tmp_path / "model.ckpt"
     save(model, fresh_state(model), (TINY, cfg), path)
     return model, cfg, path
+
+
+def write_checkpoint_with_best(tmp_path, short_bias_in=None):
+    """Checkpoint carrying param/, momentum/ and best/ tensors; with
+    ``short_bias_in`` that namespace's conv0.bias is saved with shape [1],
+    which would broadcast over the real (8,) bias."""
+    model = build_model(TINY, 3)
+    state = fresh_state(model)
+    state.best_params = {k: v.copy() for k, v in model.params.items()}
+    if short_bias_in is not None:
+        tensors = {"param": model.params, "momentum": state.velocity, "best": state.best_params}
+        tensors[short_bias_in]["conv0.bias"] = np.ones(1, np.float32)
+    path = tmp_path / "best.ckpt"
+    save(model, state, (TINY, TrainConfig(seed=3)), path)
+    return path
 
 
 class TestRoundtrip:
@@ -64,6 +80,18 @@ class TestRoundtrip:
         for name in model.param_names():
             assert np.array_equal(state2.best_params[name], state.best_params[name])
             assert np.array_equal(state2.velocity[name], state.velocity[name])
+
+    def test_trailer_with_legacy_merge_echo_loads(self, tmp_path):
+        """Older files repeated the merge config at ``configs.merge``."""
+        _, cfg, path = write_checkpoint(tmp_path)
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack_from("<Q", blob, 5)
+        end = 13 + hlen + json.loads(blob[13 : 13 + hlen])["payload_bytes"]
+        trailer = json.loads(blob[end:])
+        trailer["configs"]["merge"] = trailer["configs"]["train"]["merge"]
+        path.write_bytes(blob[:end] + json.dumps(trailer, sort_keys=True).encode())
+        _, _, (_, train_cfg) = load(path)
+        assert train_cfg == cfg
 
     def test_save_is_deterministic(self, tmp_path):
         _, _, path_a = write_checkpoint(tmp_path / "a")
@@ -140,6 +168,47 @@ class TestCorruptionDetection:
 
         self._rewrite_header(path, mutate)
         with pytest.raises(HeaderLayoutError):
+            load(path)
+
+    @pytest.mark.parametrize("field", ["offset", "length", "shape"])
+    def test_entry_missing_field(self, tmp_path, field):
+        _, _, path = write_checkpoint(tmp_path)
+
+        def mutate(header):
+            del header["tensors"]["param/conv0.bias"][field]
+
+        self._rewrite_header(path, mutate)
+        with pytest.raises(CorruptHeaderError):
+            load(path)
+
+    def test_entry_missing_field_exits_3(self, tmp_path, capsys):
+        _, _, path = write_checkpoint(tmp_path)
+
+        def mutate(header):
+            del header["tensors"]["param/conv0.bias"]["offset"]
+
+        self._rewrite_header(path, mutate)
+        code = main(["eval", "--checkpoint", str(path), "--data", str(tmp_path / "nodata")])
+        assert code == 3
+        assert "unreadable header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("namespace", ["momentum", "best"])
+    def test_missing_state_tensor(self, tmp_path, namespace):
+        path = write_checkpoint_with_best(tmp_path)
+
+        def mutate(header):
+            # keep the byte layout intact, only the expected name disappears
+            entries = header["tensors"]
+            entries[f"{namespace}/zz"] = entries.pop(f"{namespace}/conv0.bias")
+
+        self._rewrite_header(path, mutate)
+        with pytest.raises(HeaderLayoutError, match=rf"missing \['{namespace}/conv0.bias'\]"):
+            load(path)
+
+    @pytest.mark.parametrize("namespace", ["param", "momentum", "best"])
+    def test_tensor_shape_must_match_model(self, tmp_path, namespace):
+        path = write_checkpoint_with_best(tmp_path, short_bias_in=namespace)
+        with pytest.raises(HeaderLayoutError, match="shape"):
             load(path)
 
     def test_garbled_header_text(self, tmp_path):

@@ -89,6 +89,34 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "aplha" in err
 
+    def test_conv_stride_zero_exits_2(self, dataset_dir, tmp_path, capsys):
+        doc = run_config(dataset_dir, tmp_path / "out", with_merge=False)
+        doc["arch"] = {
+            "input_shape": [1, 28, 28],
+            "num_classes": 2,
+            "layers": [
+                {"kind": "conv2d", "out_channels": 2, "in_channels": 1,
+                 "kernel_h": 3, "kernel_w": 3, "stride": 0},
+                {"kind": "flatten"},
+                {"kind": "dense", "in_features": 2 * 26 * 26, "out_features": 2},
+            ],
+        }
+        cfg = write_config(tmp_path, doc)
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "stride" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key", [("train", "augment"), ("merge", "invert_gate")])
+    def test_boolean_fields_accept_only_json_booleans(
+        self, dataset_dir, tmp_path, capsys, section, key
+    ):
+        doc = run_config(dataset_dir, tmp_path / "out")
+        doc[section][key] = "false"
+        cfg = write_config(tmp_path, doc)
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_dataset_exits_3(self, dataset_dir, tmp_path, capsys):
         doc = run_config(tmp_path / "nowhere", tmp_path / "out")
         cfg = write_config(tmp_path, doc)

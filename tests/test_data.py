@@ -53,6 +53,14 @@ class TestDirectoryFormat:
         assert loaded.splits["train"].labels.shape[1] == 4
         assert np.array_equal(loaded.splits["test"].labels, handle.splits["test"].labels)
 
+    def test_too_many_classes_for_one_byte_labels(self, tmp_path):
+        handle = synth_make("gauss_blobs", 1, 300, 1, 4, 4, seed=0, split_fractions=(1.0, 0.0, 0.0))
+        assert handle.splits["train"].labels.max() >= 256
+        out = tmp_path / "wide"
+        with pytest.raises(DataError):
+            save_dataset(handle, out)
+        assert not out.exists()
+
     def test_missing_meta(self, tmp_path):
         with pytest.raises(DatasetMissingFileError):
             load_dataset(tmp_path)

@@ -362,10 +362,9 @@ class TestSweep:
         model = small_model(seed=7)
         cfg = MergeConfig(merge_prob=0.5, sim_threshold=0.2)
         rep = inmerge_sweep(model, cfg, seeding.stream(11, seeding.MERGE, 0))
-        assert rep.merges_applied == rep.gate_passes
         for stats in rep.layers:
             assert stats.draws <= stats.kernels
-            assert stats.merges == stats.gate_passes
+            assert stats.merges + stats.zero_norm_skips <= stats.draws
 
     def test_merge_rate_tracks_binomial_mean(self):
         """Small-sample version of the statistical acceptance criterion."""

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from inmerge.errors import ConfigError, ShapeError
+import inmerge.model
+from inmerge.configio import arch_from_dict
+from inmerge.errors import ConfigError, InmergeError, ShapeError
 from inmerge.layers import conv_spec, dense_spec, flatten_spec, pool_spec, relu_spec
 from inmerge.model import ArchConfig, build_model, conv_layers, resolve_layers
 
@@ -140,3 +144,78 @@ def test_clone_is_independent():
     twin = model.clone()
     twin.params["conv0.weight"][...] = 0.0
     assert model.params["conv0.weight"].any()
+
+
+LAYER_FIELDS = (
+    "out_channels", "in_channels", "kernel_h", "kernel_w",
+    "stride", "padding", "window", "in_features", "out_features",
+)
+FIELD_VALUES = st.one_of(
+    st.integers(-1, 4),
+    st.sampled_from([None, "2", "x", 1.5, True, float("nan"), float("inf"), [1]]),
+)
+LAYER_DICTS = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["conv2d", "relu", "maxpool2d", "flatten", "dense", "bogus"])},
+    optional=dict.fromkeys(LAYER_FIELDS, FIELD_VALUES),
+)
+VALID_STACK = [
+    {"kind": "conv2d", "out_channels": 2, "in_channels": 1, "kernel_h": 3, "kernel_w": 3,
+     "padding": 1},
+    {"kind": "relu"},
+    {"kind": "maxpool2d", "window": 2, "stride": 2},
+    {"kind": "flatten"},
+    {"kind": "dense", "in_features": 8, "out_features": 2},
+]
+
+
+@given(
+    layers=st.lists(LAYER_DICTS, max_size=5),
+    input_shape=st.tuples(st.integers(1, 2), st.integers(1, 5), st.integers(1, 5)),
+    num_classes=st.integers(2, 3),
+)
+@example(layers=VALID_STACK, input_shape=(1, 4, 4), num_classes=2)
+@example(layers=[{**VALID_STACK[0], "stride": 0}], input_shape=(1, 4, 4), num_classes=2)
+@example(layers=[{**VALID_STACK[0], "kernel_h": 0}], input_shape=(1, 4, 4), num_classes=2)
+@example(layers=[{"kind": "maxpool2d", "window": 0, "stride": 1}, {"kind": "flatten"},
+                 {"kind": "dense", "in_features": 16, "out_features": 2}],
+         input_shape=(1, 4, 4), num_classes=2)
+@settings(max_examples=200, deadline=None)
+def test_explicit_layer_dicts_build_or_raise_typed_errors(layers, input_shape, num_classes):
+    """A layer stack from a config either builds a model whose logits have
+    the head's shape, or fails with one of the package's own errors."""
+    doc = {"input_shape": list(input_shape), "num_classes": num_classes, "layers": layers}
+    try:
+        model = build_model(arch_from_dict(doc), seed=0)
+    except InmergeError:
+        return
+    assert model.forward(np.zeros((2, *input_shape), np.float32)).shape == (2, num_classes)
+
+
+def test_layer_math_is_called_through_model_namespace(monkeypatch):
+    """Forward and backward look the layer functions up in ``inmerge.model``
+    at call time, once per layer, so a wrapper swapped in there (as the
+    benchmark's tracer does) sees every call."""
+    per_kind = {
+        "conv2d": ("conv2d_forward", "conv2d_backward"),
+        "relu": ("relu", "relu_backward"),
+        "maxpool2d": ("maxpool2d", "maxpool2d_backward"),
+        "dense": ("dense_forward", "dense_backward"),
+    }
+    calls = {}
+    for names in per_kind.values():
+        for name in names:
+            original = getattr(inmerge.model, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(inmerge.model, name, counting)
+    model = build_model(TINY, seed=0)
+    logits, caches = model.forward(np.zeros((2, 1, 28, 28), np.float32), want_caches=True)
+    model.backward(np.ones_like(logits), caches)
+    kinds = [spec.kind for spec in model.layers]
+    for kind, names in per_kind.items():
+        assert kinds.count(kind) > 0
+        for name in names:
+            assert calls.get(name, 0) == kinds.count(kind), name
