@@ -85,11 +85,17 @@ def load_run_config(path: str | Path) -> RunConfig:
         if key not in doc:
             raise ConfigError(f"{path}: missing required section {key!r}")
     data_sec = doc["data"]
+    if not isinstance(data_sec, dict):
+        raise ConfigError(f"{path}: data must be an object")
     bad = set(data_sec) - DATA_KEYS
     if bad:
         raise ConfigError(f"{path}: data: unknown key(s) {sorted(bad)}")
     if "dir" not in data_sec:
         raise ConfigError(f"{path}: data: missing 'dir'")
+    if not isinstance(data_sec["dir"], str):
+        raise ConfigError(f"{path}: data.dir must be a string")
+    if not isinstance(doc["output"], str):
+        raise ConfigError(f"{path}: output must be a string")
     train = doc["train"]
     if "merge" in doc and isinstance(train, dict):  # a non-object train fails in train_from_dict
         train = {**train, "merge": doc["merge"]}
@@ -200,7 +206,7 @@ def _write_roc_csvs(model, handle: DatasetHandle, split_name: str, out_dir: Path
         rows = roc_points(scores[:, k], labels)
         with open(out_dir / f"roc_class{k}.csv", "w") as fh:
             fh.write("threshold,fpr,tpr\n")
-            for t, fpr, tpr in rows:
+            for t, fpr, tpr in rows.tolist():
                 fh.write(f"{t!r},{fpr!r},{tpr!r}\n")
 
 

@@ -24,6 +24,20 @@ Conventions:
 
 Arrays flow through in the caller's dtype; the production data plane is
 float32, while gradient-checking tests may pass float64.
+
+Speed and memory:
+
+- conv2d lowers to GEMMs over an im2col patch matrix (Chellapilla et al.
+  2006). A batch whose patch matrix fits ``PATCH_KEEP_LIMIT`` is one
+  chunk, and forward hands its patch matrix on to backward. A larger
+  batch runs in chunks of ``max(1, PATCH_BUDGET // (C_in*kh*kw*h_out*
+  w_out*itemsize))`` samples, so each chunk's patches are consumed while
+  still in cache; it keeps only its input, and backward gathers the
+  patches again, chunk by chunk.
+- maxpool2d with ``window == stride`` (non-overlapping windows) takes the
+  maximum over the ``window**2`` strided views of its input and routes
+  backward through the same views; overlapping pools take the argmax over
+  a sliding-window view. Both give the same values and argmaxes.
 """
 
 from __future__ import annotations
@@ -105,6 +119,19 @@ def flatten_spec() -> LayerSpec:
 # ---------------------------------------------------------------------------
 # conv2d
 
+# Both limits were sized on a 2-core Xeon (4 MiB L2 per core, shared L3)
+# by timing every ``tiny_cnn`` and ``small_vgg_d`` conv at batch 128 inside
+# a training step.
+#
+# Bytes of im2col patches one batch chunk may gather. A chunk's patches are
+# consumed by its GEMMs while still in cache; 2-8 MiB were fastest.
+PATCH_BUDGET = 8 << 20
+# Whole-batch patch matrices up to this size are gathered once and kept
+# for backward: chunking them saved no time, and gathering them again cost
+# more than it saved. Patches of 14-29 MB (tiny_cnn conv1/3, small_vgg_d
+# conv6) ran faster kept, those of 38 MB and up as fast or faster chunked.
+PATCH_KEEP_LIMIT = 32 << 20
+
 
 def _im2col(
     padded: np.ndarray, kh: int, kw: int, stride: int, h_out: int, w_out: int
@@ -143,6 +170,16 @@ def _conv_geometry(x, weight, bias, stride, padding):
     return h_out, w_out
 
 
+def _chunk_size(x: np.ndarray, weight: np.ndarray, h_out: int, w_out: int) -> int:
+    """Samples per batch chunk: the whole batch if its patches fit
+    ``PATCH_KEEP_LIMIT``, else as many as fit ``PATCH_BUDGET``, at least one."""
+    n = x.shape[0]
+    per_sample = weight[0].size * h_out * w_out * x.dtype.itemsize
+    if n * per_sample <= PATCH_KEEP_LIMIT:
+        return max(n, 1)
+    return max(1, PATCH_BUDGET // per_sample)
+
+
 def conv2d_forward(
     x: np.ndarray,
     weight: np.ndarray,
@@ -153,18 +190,29 @@ def conv2d_forward(
 ) -> np.ndarray:
     """Cross-correlate an NCHW batch with OIHW kernels, zero padding.
 
-    ``_cols_out``, when given, receives the internal patch matrix so a
-    following ``conv2d_backward`` can skip regathering it.
+    A batch whose patches exceed ``PATCH_KEEP_LIMIT`` runs in chunks of
+    ``_chunk_size`` samples: each chunk's patch matrix is gathered and
+    multiplied while it is in cache. Chunking leaves every output element
+    bit-identical, since each is one dot product over the same patch column.
+
+    ``_cols_out``, when given, receives the patch matrix if the whole batch
+    was one chunk, so a following ``conv2d_backward`` can skip regathering
+    it. A chunked batch's patches are not kept: backward gathers them again,
+    chunk by chunk, which holds far less memory from forward to backward.
     """
     h_out, w_out = _conv_geometry(x, weight, bias, stride, padding)
     n = x.shape[0]
     c_out, _, kh, kw = weight.shape
-    cols = _im2col(_padable(x, padding), kh, kw, stride, h_out, w_out)
-    if _cols_out is not None:
-        _cols_out.append(cols)
-    out = weight.reshape(c_out, -1) @ cols
-    out += bias[:, None]
-    out = np.ascontiguousarray(out.reshape(c_out, n, h_out, w_out).transpose(1, 0, 2, 3))
+    w2 = weight.reshape(c_out, -1)
+    step = _chunk_size(x, weight, h_out, w_out)
+    out = np.empty((n, c_out, h_out, w_out), dtype=np.result_type(x, weight))
+    for lo in range(0, n, step):
+        cols = _im2col(_padable(x[lo : lo + step], padding), kh, kw, stride, h_out, w_out)
+        if _cols_out is not None and step >= n:
+            _cols_out.append(cols)
+        chunk = w2 @ cols
+        chunk += bias[:, None]
+        out[lo : lo + step] = chunk.reshape(c_out, -1, h_out, w_out).transpose(1, 0, 2, 3)
     ensure_finite("conv2d_forward", out)
     return out
 
@@ -179,37 +227,50 @@ def conv2d_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients (d_input, d_weight, d_bias) of the conv2d contract.
 
-    ``cols`` may pass back the patch matrix captured by the forward call;
-    otherwise it is regathered from ``x``.
+    ``cols`` may pass back the whole-batch patch matrix captured by the
+    forward call; the batch is then one chunk. Otherwise patches are
+    gathered again from ``x`` in the forward's chunks. The input gradient
+    is bit-identical either way; weight and bias gradients of a batch that
+    spans several chunks are summed chunk by chunk, so they may differ
+    from a one-chunk sum in the last bits.
     """
     c_out, c_in, kh, kw = weight.shape
     bias_probe = np.zeros(c_out, dtype=weight.dtype)
     h_out, w_out = _conv_geometry(x, weight, bias_probe, stride, padding)
-    if grad_out.shape != (x.shape[0], c_out, h_out, w_out):
+    n, _, h, w = x.shape
+    if grad_out.shape != (n, c_out, h_out, w_out):
         raise ShapeError(
-            f"conv2d_backward: grad shape {grad_out.shape} != "
-            f"{(x.shape[0], c_out, h_out, w_out)}"
+            f"conv2d_backward: grad shape {grad_out.shape} != {(n, c_out, h_out, w_out)}"
         )
-    n, _, h_pad, w_pad = x.shape[0], x.shape[1], x.shape[2] + 2 * padding, x.shape[3] + 2 * padding
-    if cols is None:
-        cols = _im2col(_padable(x, padding), kh, kw, stride, h_out, w_out)
-    g = np.ascontiguousarray(grad_out.transpose(1, 0, 2, 3)).reshape(c_out, -1)
+    w2 = weight.reshape(c_out, -1)
+    step = max(n, 1) if cols is not None else _chunk_size(x, weight, h_out, w_out)
+    grad_x = np.empty(x.shape, dtype=grad_out.dtype)
+    # an empty batch still runs one (empty) chunk, which shapes the gradients
+    for lo in range(0, max(n, 1), step):
+        hi = min(lo + step, n)
+        patches = cols if cols is not None else _im2col(
+            _padable(x[lo:hi], padding), kh, kw, stride, h_out, w_out
+        )
+        g = np.ascontiguousarray(grad_out[lo:hi].transpose(1, 0, 2, 3)).reshape(c_out, -1)
+        if lo == 0:
+            grad_bias = g.sum(axis=1)
+            grad_weight = g @ patches.T
+        else:
+            grad_bias += g.sum(axis=1)
+            grad_weight += g @ patches.T
 
-    grad_bias = g.sum(axis=1)
-    grad_weight = (g @ cols.T).reshape(weight.shape)
-
-    dcols = weight.reshape(c_out, -1).T @ g
-    dwin = dcols.reshape(c_in, kh, kw, n, h_out, w_out)
-    # scatter in channel-major layout (matches dwin), transpose once at the end
-    dpad = np.zeros((c_in, n, h_pad, w_pad), dtype=grad_out.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            dpad[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += (
-                dwin[:, i, j]
-            )
-    if padding:
-        dpad = dpad[:, :, padding:-padding, padding:-padding]
-    grad_x = np.ascontiguousarray(dpad.transpose(1, 0, 2, 3))
+        dwin = (w2.T @ g).reshape(c_in, kh, kw, hi - lo, h_out, w_out)
+        # scatter in channel-major layout (matches dwin), transpose on the way out
+        dpad = np.zeros((c_in, hi - lo, h + 2 * padding, w + 2 * padding), dtype=grad_out.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                dpad[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += (
+                    dwin[:, i, j]
+                )
+        grad_x[lo:hi] = dpad[:, :, padding : padding + h, padding : padding + w].transpose(
+            1, 0, 2, 3
+        )
+    grad_weight = grad_weight.reshape(weight.shape)
     ensure_finite("conv2d_backward", grad_x, grad_weight, grad_bias)
     return grad_x, grad_weight, grad_bias
 
@@ -242,29 +303,64 @@ class PoolCache:
     stride: int
 
 
+def _tiles(a: np.ndarray, k: int) -> list[np.ndarray]:
+    """The k*k strided views a[..., i::k, j::k] of a non-overlapping k/k
+    pool, in row-major window order; view (i, j) holds window position
+    i*k + j of every window."""
+    return [a[:, :, i::k, j::k] for i in range(k) for j in range(k)]
+
+
 def maxpool2d(x: np.ndarray, window: int, stride: int) -> tuple[np.ndarray, PoolCache]:
-    """Per-window maxima; ties go to the first row-major window position."""
+    """Per-window maxima; ties go to the first row-major window position.
+
+    A non-overlapping pool (``window == stride``, so the windows tile the
+    input exactly) takes the running maximum over its ``window**2``
+    strided views, which reads the input once per view and never builds
+    the window axis; its argmaxes are the smallest integer dtype that
+    holds ``window**2 - 1``. Overlapping pools take the argmax over a
+    ``sliding_window_view``. Both give the same values and argmaxes.
+    """
     if x.ndim != 4:
         raise ShapeError(f"maxpool2d: need 4-d input, got {x.ndim}-d")
     h_out = out_extent(x.shape[2], window, stride, 0, "maxpool2d height")
     w_out = out_extent(x.shape[3], window, stride, 0, "maxpool2d width")
-    win = sliding_window_view(x, (window, window), axis=(2, 3))[:, :, ::stride, ::stride]
-    flat = win.reshape(*win.shape[:4], window * window)
-    argmax = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, argmax[..., None], axis=-1)[..., 0]
-    out = np.ascontiguousarray(out)
+    if window == stride:
+        tiles = _tiles(x, window)
+        out = tiles[0].copy()
+        argmax = np.zeros(out.shape, dtype=np.min_scalar_type(window * window - 1))
+        for idx, tile in enumerate(tiles[1:], 1):
+            np.copyto(argmax, idx, where=tile > out)
+            # propagates NaN, so ensure_finite still sees a NaN input
+            np.maximum(tile, out, out=out)
+    else:
+        win = sliding_window_view(x, (window, window), axis=(2, 3))[:, :, ::stride, ::stride]
+        flat = win.reshape(*win.shape[:4], window * window)
+        argmax = flat.argmax(axis=-1)
+        out = np.take_along_axis(flat, argmax[..., None], axis=-1)[..., 0]
+        out = np.ascontiguousarray(out)
     ensure_finite("maxpool2d", out)
     return out, PoolCache(argmax, x.shape, window, stride)
 
 
 def maxpool2d_backward(grad_out: np.ndarray, cache: PoolCache) -> np.ndarray:
-    """Route each output gradient to its argmax input position."""
+    """Route each output gradient to its argmax input position.
+
+    A non-overlapping pool writes each strided view of the input gradient
+    once, from the outputs whose argmax is that view's window position.
+    """
     n, c, h, w = cache.input_shape
     h_out, w_out = cache.argmax.shape[2:]
     if grad_out.shape != cache.argmax.shape:
         raise ShapeError(
             f"maxpool2d_backward: grad shape {grad_out.shape} != {cache.argmax.shape}"
         )
+    if cache.window == cache.stride:
+        grad_x = np.zeros(cache.input_shape, dtype=grad_out.dtype)
+        # + 0 turns -0.0 into +0.0, as the bincount sum below does
+        routed = grad_out + 0
+        for idx, tile in enumerate(_tiles(grad_x, cache.window)):
+            np.copyto(tile, routed, where=cache.argmax == idx)
+        return grad_x
     iy = np.arange(h_out)[:, None] * cache.stride + cache.argmax // cache.window
     ix = np.arange(w_out)[None, :] * cache.stride + cache.argmax % cache.window
     plane = np.arange(n * c).reshape(n, c, 1, 1)

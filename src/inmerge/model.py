@@ -169,11 +169,13 @@ def _dense_shape(s: LayerSpec, shape: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _conv_forward(s: LayerSpec, x, w, b, want_cache: bool):
+    """The cache holds the input, plus the patch matrix when the layer
+    gathered it in one chunk (``layers.conv2d_forward``)."""
     if not want_cache:
         return conv2d_forward(x, w, b, s.stride, s.padding), None
     cols: list = []
     out = conv2d_forward(x, w, b, s.stride, s.padding, _cols_out=cols)
-    return out, (x, cols[0])
+    return out, (x, cols[0] if cols else None)
 
 
 @dataclass(frozen=True)

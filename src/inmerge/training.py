@@ -70,6 +70,8 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs_pretrain < 0 or self.epochs_inmerge < 0:
             raise ConfigError("epoch counts must be >= 0")
+        if self.total_epochs == 0:
+            raise ConfigError("epochs_pretrain + epochs_inmerge must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         ms = self.resolved_milestones()

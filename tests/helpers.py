@@ -142,6 +142,35 @@ def gradcheck_case(kind: str, seed: int) -> float:
 GRADCHECK_KINDS = ("conv2d", "dense", "relu", "maxpool2d", "softmax_ce", "sigmoid_bce")
 
 
+def maxpool_loop_oracle(x: np.ndarray, window: int, stride: int, grad_out: np.ndarray):
+    """Pure-Python max-pool: (output, argmax, input gradient of ``grad_out``).
+
+    Scans each window in row-major order and keeps the first maximum, so
+    ties go to the first position; the gradient of each output lands on
+    its argmax position and overlapping windows add up.
+    """
+    n, c, h, w = x.shape
+    h_out, w_out = (h - window) // stride + 1, (w - window) // stride + 1
+    out = np.zeros((n, c, h_out, w_out), dtype=x.dtype)
+    argmax = np.zeros((n, c, h_out, w_out), dtype=np.int64)
+    grad_x = np.zeros(x.shape, dtype=np.float64)
+    for b in range(n):
+        for ch in range(c):
+            for oy in range(h_out):
+                for ox in range(w_out):
+                    best, best_pos = None, 0
+                    for dy in range(window):
+                        for dx in range(window):
+                            v = x[b, ch, oy * stride + dy, ox * stride + dx]
+                            if best is None or v > best:
+                                best, best_pos = v, dy * window + dx
+                    out[b, ch, oy, ox] = best
+                    argmax[b, ch, oy, ox] = best_pos
+                    dy, dx = divmod(best_pos, window)
+                    grad_x[b, ch, oy * stride + dy, ox * stride + dx] += grad_out[b, ch, oy, ox]
+    return out, argmax, grad_x.astype(grad_out.dtype)
+
+
 def auroc_pair_oracle(scores: np.ndarray, labels: np.ndarray) -> float:
     """O(n^2) Mann-Whitney oracle: (concordant + 0.5 * tied) / (n1 * n0)."""
     scores = np.asarray(scores, dtype=np.float64)

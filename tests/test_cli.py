@@ -117,6 +117,25 @@ class TestTrainCommand:
         assert err.startswith("config error:") and key in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("data", 5), ("data", ["dir"]), ("data", {"dir": 5}), ("output", 7)],
+        ids=["data-int", "data-list", "data-dir-int", "output-int"],
+    )
+    def test_section_of_wrong_type_exits_2(self, dataset_dir, tmp_path, capsys, key, value):
+        doc = run_config(dataset_dir, tmp_path / "out")
+        doc[key] = value
+        cfg = write_config(tmp_path, doc)
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+
+    def test_zero_epochs_exits_2(self, dataset_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path, run_config(dataset_dir, tmp_path / "out", epochs=(0, 0)))
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_dataset_exits_3(self, dataset_dir, tmp_path, capsys):
         doc = run_config(tmp_path / "nowhere", tmp_path / "out")
         cfg = write_config(tmp_path, doc)
@@ -193,6 +212,10 @@ class TestEvalCommand:
         roc = (out / "roc_class0.csv").read_text().splitlines()
         assert roc[0] == "threshold,fpr,tpr"
         assert len(roc) > 2
+        for path in out.glob("roc_class*.csv"):
+            for line in path.read_text().splitlines()[1:]:
+                threshold, fpr, tpr = (float(cell) for cell in line.split(","))
+                assert 0.0 <= fpr <= 1.0 and 0.0 <= tpr <= 1.0
 
     def test_eval_never_mutates_checkpoint(self, dataset_dir, tmp_path, capsys):
         cfg = write_config(tmp_path, run_config(dataset_dir, tmp_path / "run4", seed=8))

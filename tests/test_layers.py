@@ -8,8 +8,9 @@ import math
 
 import numpy as np
 import pytest
-from helpers import GRADCHECK_KINDS, REL_TOL, gradcheck_case
+from helpers import GRADCHECK_KINDS, REL_TOL, gradcheck_case, maxpool_loop_oracle
 
+import inmerge.layers
 from inmerge.errors import LabelDomainError, NumericError, ShapeError
 from inmerge.layers import (
     conv2d_backward,
@@ -155,6 +156,81 @@ class TestMaxPool:
     def test_non_integer_extent_rejected(self):
         with pytest.raises(ShapeError):
             maxpool2d(np.zeros((1, 1, 7, 7), np.float32), window=2, stride=2)
+
+
+class TestConvChunks:
+    """Batches whose patches exceed ``PATCH_KEEP_LIMIT`` run in chunks of
+    ``PATCH_BUDGET`` bytes."""
+
+    @staticmethod
+    def _budget_for(monkeypatch, samples, x, weight, stride, padding):
+        """Set the budget so that exactly ``samples`` samples fit a chunk."""
+        h_out = (x.shape[2] + 2 * padding - weight.shape[2]) // stride + 1
+        w_out = (x.shape[3] + 2 * padding - weight.shape[3]) // stride + 1
+        per_sample = weight[0].size * h_out * w_out * x.dtype.itemsize
+        monkeypatch.setattr(inmerge.layers, "PATCH_BUDGET", samples * per_sample + 1)
+        monkeypatch.setattr(inmerge.layers, "PATCH_KEEP_LIMIT", 0)
+
+    @pytest.mark.parametrize("stride, padding, size", [(1, 1, 9), (2, 1, 11), (1, 0, 6)])
+    def test_uneven_chunks_match_one_chunk(self, monkeypatch, stride, padding, size):
+        rng = np.random.default_rng(stride + 10 * padding)
+        x = rng.normal(size=(5, 3, size, size)).astype(np.float32)
+        w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
+        b = rng.normal(size=4).astype(np.float32)
+        cols: list = []
+        out1 = conv2d_forward(x, w, b, stride, padding, _cols_out=cols)
+        assert len(cols) == 1  # the whole batch is one chunk at the default limits
+        g = rng.normal(size=out1.shape).astype(np.float32)
+        gx1, gw1, gb1 = conv2d_backward(g, x, w, stride, padding)
+
+        self._budget_for(monkeypatch, 2, x, w, stride, padding)  # chunks of 2, 2, 1
+        cols = []
+        out2 = conv2d_forward(x, w, b, stride, padding, _cols_out=cols)
+        assert cols == []  # patches of a chunked batch are not kept
+        gx2, gw2, gb2 = conv2d_backward(g, x, w, stride, padding)
+        assert out2.tobytes() == out1.tobytes()
+        assert gx2.tobytes() == gx1.tobytes()
+        # weight and bias gradients are summed chunk by chunk: float32 rounding
+        for chunked, whole in ((gw2, gw1), (gb2, gb1)):
+            assert chunked.dtype == whole.dtype and chunked.shape == whole.shape
+            np.testing.assert_allclose(chunked, whole, rtol=1e-5, atol=1e-5 * np.abs(whole).max())
+
+    def test_finite_differences_across_chunks(self, monkeypatch):
+        monkeypatch.setattr(inmerge.layers, "PATCH_BUDGET", 1)  # one sample per chunk
+        monkeypatch.setattr(inmerge.layers, "PATCH_KEEP_LIMIT", 0)
+        for seed in range(5):
+            err = gradcheck_case("conv2d", seed)
+            assert err < REL_TOL, f"seed {seed}: rel err {err}"
+
+    def test_kept_and_regathered_patches_give_same_gradients(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(3, 2, 7, 7)).astype(np.float32)
+        w = rng.normal(size=(5, 2, 3, 3)).astype(np.float32)
+        b = np.zeros(5, np.float32)
+        cols: list = []
+        out = conv2d_forward(x, w, b, 2, 1, _cols_out=cols)
+        g = rng.normal(size=out.shape).astype(np.float32)
+        kept = conv2d_backward(g, x, w, 2, 1, cols=cols[0])
+        regathered = conv2d_backward(g, x, w, 2, 1)
+        for a, r in zip(kept, regathered):
+            assert a.tobytes() == r.tobytes()
+
+
+class TestPoolAgainstLoopOracle:
+    @pytest.mark.parametrize("window, stride", [(1, 1), (2, 2), (3, 3), (3, 2)])
+    def test_values_argmax_and_routing(self, window, stride):
+        rng = np.random.default_rng(window * 10 + stride)
+        size = 7 if window != stride else 6  # whole windows only
+        # small integers: many ties inside a window
+        x = rng.integers(0, 3, size=(2, 3, size, size)).astype(np.float32)
+        out, cache = maxpool2d(x, window, stride)
+        g = rng.normal(size=out.shape).astype(np.float32)
+        want_out, want_argmax, want_gx = maxpool_loop_oracle(x, window, stride, g)
+        assert np.array_equal(out, want_out)
+        assert np.array_equal(cache.argmax, want_argmax)
+        gx = maxpool2d_backward(g, cache)
+        assert gx.dtype == g.dtype
+        assert np.array_equal(gx, want_gx)
 
 
 class TestDense:

@@ -219,3 +219,19 @@ def test_layer_math_is_called_through_model_namespace(monkeypatch):
         assert kinds.count(kind) > 0
         for name in names:
             assert calls.get(name, 0) == kinds.count(kind), name
+
+
+def test_conv_caches_keep_patches_only_within_limit():
+    """A conv layer keeps its patch matrix from forward to backward only
+    when the whole batch is one chunk; larger layers keep their input
+    alone and gather again in backward."""
+    from inmerge.layers import PATCH_KEEP_LIMIT
+
+    model = build_model(VGG, seed=0)
+    x = np.random.default_rng(0).normal(size=(24, 3, 64, 64)).astype(np.float32)
+    logits, caches = model.forward(x, want_caches=True)
+    patches = [caches[pos][1] for pos in sorted(model.conv_index)]
+    assert all(p is None or p.nbytes <= PATCH_KEEP_LIMIT for p in patches)
+    assert any(p is None for p in patches) and any(p is not None for p in patches)
+    grads = model.backward(np.ones_like(logits), caches)
+    assert set(grads) == set(model.params)

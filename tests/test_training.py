@@ -87,6 +87,11 @@ class TestLrSchedule:
         with pytest.raises(ConfigError):
             TrainConfig(batch_size=0).validate()
 
+    def test_zero_total_epochs_rejected(self):
+        with pytest.raises(ConfigError, match="epochs"):
+            TrainConfig(epochs_pretrain=0, epochs_inmerge=0).validate()
+        TrainConfig(epochs_pretrain=0, epochs_inmerge=1).validate()
+
 
 class TestTrainEpoch:
     def test_pretrain_records_no_sweeps(self):
