@@ -2,18 +2,12 @@
 
 Layout (single file, single-pass writable):
 
-    magic  b"IMRG1"                          5 bytes
-    u64    header length, little-endian     8 bytes
-    header UTF-8 JSON: {"format": 1,
-                        "payload_bytes": P,
-                        "tensors": {name: {"dtype": "f32",
-                                           "shape": [...],
-                                           "offset": o,   # into payload
-                                           "length": l}}}
-    payload  concatenated little-endian float32           P bytes
-    trailer  UTF-8 JSON to EOF: config echo (arch / train, the merge
-             config inside train),
-             training state scalars, epoch log so far, RNG position
+    magic    b"IMRG1"                                 5 bytes
+    u64      header length, little-endian             8 bytes
+    header   UTF-8 JSON ``Header``: per tensor dtype, shape, offset, length
+    payload  concatenated little-endian float32       P bytes
+    trailer  UTF-8 JSON ``Trailer`` to EOF: config echo, training state
+             scalars, epoch log so far, RNG position
 
 Tensor names are namespaced: ``param/<name>`` for model parameters
 (each exactly once), ``momentum/<name>`` for optimizer velocity,
@@ -31,23 +25,67 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .configio import arch_from_dict, train_from_dict
+from .configio import decode
 from .errors import (
     CorruptHeaderError,
     HeaderLayoutError,
     TruncatedFileError,
     UnknownDtypeError,
 )
+from .merging import MergeConfig
 from .model import ArchConfig, Model, build_model
 from .training import EpochRecord, TrainConfig, TrainState
 
 MAGIC = b"IMRG1"
 FORMAT_VERSION = 1
+
+
+@dataclass(frozen=True)
+class TensorEntry:
+    dtype: str
+    shape: tuple[int, ...]
+    offset: int
+    length: int
+
+
+@dataclass(frozen=True)
+class Header:
+    format: int
+    payload_bytes: int
+    tensors: dict[str, TensorEntry]
+
+
+@dataclass(frozen=True)
+class TrailerConfigs:
+    arch: ArchConfig
+    train: TrainConfig
+    merge: MergeConfig | None = None  # older files repeat train.merge here; ignored
+
+
+@dataclass(frozen=True)
+class TrailerState:
+    epochs_done: int
+    best_epoch: int
+    best_metric: float | None
+    records: tuple[EpochRecord, ...]
+
+
+@dataclass(frozen=True)
+class RngPosition:
+    scheme: str
+    next_epoch: int
+
+
+@dataclass(frozen=True)
+class Trailer:
+    configs: TrailerConfigs
+    state: TrailerState
+    rng: RngPosition
 
 
 def save(
@@ -66,34 +104,26 @@ def save(
         for name in model.param_names():
             tensors[f"best/{name}"] = state.best_params[name]
 
-    entries: dict[str, dict] = {}
+    entries: dict[str, TensorEntry] = {}
     chunks: list[bytes] = []
     offset = 0
     for name, arr in tensors.items():
         raw = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        entries[name] = {
-            "dtype": "f32",
-            "shape": list(arr.shape),
-            "offset": offset,
-            "length": len(raw),
-        }
+        entries[name] = TensorEntry("f32", arr.shape, offset, len(raw))
         chunks.append(raw)
         offset += len(raw)
 
     header = json.dumps(
-        {"format": FORMAT_VERSION, "payload_bytes": offset, "tensors": entries},
-        sort_keys=True,
+        asdict(Header(FORMAT_VERSION, offset, entries)), sort_keys=True
     ).encode("utf-8")
+    # no TrailerConfigs here: its legacy merge field would be written as null
     trailer = json.dumps(
         {
             "configs": {"arch": asdict(arch), "train": asdict(train_cfg)},
-            "state": {
-                "epochs_done": state.epochs_done,
-                "best_epoch": state.best_epoch,
-                "best_metric": state.best_metric,
-                "records": [r.to_record() for r in state.records],
-            },
-            "rng": {"scheme": "per-epoch-streams", "next_epoch": state.epochs_done},
+            "state": asdict(TrailerState(
+                state.epochs_done, state.best_epoch, state.best_metric, tuple(state.records)
+            )),
+            "rng": asdict(RngPosition("per-epoch-streams", state.epochs_done)),
         },
         sort_keys=True,
     ).encode("utf-8")
@@ -124,21 +154,11 @@ def load(path: str | Path) -> tuple[Model, TrainState, tuple[ArchConfig, TrainCo
         raise CorruptHeaderError(f"{path}: header length 0")
     if header_start + header_len > len(blob):
         raise TruncatedFileError(f"{path}: header length {header_len} exceeds file")
-    try:
-        header = json.loads(blob[header_start : header_start + header_len].decode("utf-8"))
-        payload_bytes = int(header["payload_bytes"])
-        # name -> (dtype, offset, length, shape)
-        entries = {
-            name: (
-                ent.get("dtype"), int(ent["offset"]), int(ent["length"]),
-                tuple(map(int, ent["shape"])),
-            )
-            for name, ent in header["tensors"].items()
-        }
-    except (
-        UnicodeDecodeError, json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError
-    ) as exc:
-        raise CorruptHeaderError(f"{path}: unreadable header ({exc!r})") from None
+    header = decode(
+        Header, blob[header_start : header_start + header_len], CorruptHeaderError,
+        f"{path}: unreadable header",
+    )
+    payload_bytes, entries = header.payload_bytes, header.tensors
 
     payload_start = header_start + header_len
     if payload_start + payload_bytes > len(blob):
@@ -148,32 +168,28 @@ def load(path: str | Path) -> tuple[Model, TrainState, tuple[ArchConfig, TrainCo
 
     # validate offsets: ascending, non-overlapping, exact coverage
     covered = 0
-    for name, (dtype, offset, length, shape) in sorted(entries.items(), key=lambda kv: kv[1][1]):
-        if dtype != "f32":
-            raise UnknownDtypeError(f"{path}: tensor {name!r} has dtype {dtype!r}")
-        if offset != covered:
-            verb = "overlaps" if offset < covered else "leaves a gap before"
+    for name, ent in sorted(entries.items(), key=lambda kv: kv[1].offset):
+        if ent.dtype != "f32":
+            raise UnknownDtypeError(f"{path}: tensor {name!r} has dtype {ent.dtype!r}")
+        if ent.offset != covered:
+            verb = "overlaps" if ent.offset < covered else "leaves a gap before"
             raise HeaderLayoutError(f"{path}: tensor {name!r} {verb} offset {covered}")
-        expect = math.prod(shape) * 4
-        if length != expect:
+        expect = math.prod(ent.shape) * 4
+        if ent.length != expect:
             raise HeaderLayoutError(
-                f"{path}: tensor {name!r} length {length} != shape size {expect}"
+                f"{path}: tensor {name!r} length {ent.length} != shape size {expect}"
             )
-        covered += length
+        covered += ent.length
     if covered != payload_bytes:
         raise HeaderLayoutError(
             f"{path}: tensors cover {covered} bytes, payload declares {payload_bytes}"
         )
 
-    try:
-        trailer = json.loads(blob[payload_start + payload_bytes :].decode("utf-8"))
-        arch_d, train_d = trailer["configs"]["arch"], trailer["configs"]["train"]
-        state_d = trailer["state"]
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise CorruptHeaderError(f"{path}: unreadable trailer ({exc!r})") from None
-
-    arch = arch_from_dict(arch_d)
-    train_cfg = train_from_dict(train_d)
+    trailer = decode(
+        Trailer, blob[payload_start + payload_bytes :], CorruptHeaderError,
+        f"{path}: unreadable trailer",
+    )
+    arch, train_cfg = trailer.configs.arch, trailer.configs.train
 
     model = build_model(arch, train_cfg.seed)
     namespaces = ["param", "momentum"]
@@ -190,15 +206,15 @@ def load(path: str | Path) -> tuple[Model, TrainState, tuple[ArchConfig, TrainCo
     def tensors(ns: str) -> dict[str, np.ndarray]:
         out = {}
         for name, want in model.params.items():
-            _, offset, length, shape = entries[f"{ns}/{name}"]
-            if shape != want.shape:
+            ent = entries[f"{ns}/{name}"]
+            if ent.shape != want.shape:
                 raise HeaderLayoutError(
-                    f"{path}: tensor {ns}/{name} has shape {list(shape)}, "
+                    f"{path}: tensor {ns}/{name} has shape {list(ent.shape)}, "
                     f"model needs {list(want.shape)}"
                 )
-            start = payload_start + offset
-            flat = np.frombuffer(blob, dtype="<f4", count=length // 4, offset=start)
-            out[name] = flat.reshape(shape).astype(np.float32)
+            start = payload_start + ent.offset
+            flat = np.frombuffer(blob, dtype="<f4", count=ent.length // 4, offset=start)
+            out[name] = flat.reshape(ent.shape).astype(np.float32)
         return out
 
     for name, value in tensors("param").items():
@@ -206,15 +222,12 @@ def load(path: str | Path) -> tuple[Model, TrainState, tuple[ArchConfig, TrainCo
     velocity = tensors("momentum")
     best_params = tensors("best") if "best" in namespaces else None
 
-    try:
-        state = TrainState(
-            epochs_done=int(state_d["epochs_done"]),
-            velocity=velocity,
-            best_epoch=int(state_d["best_epoch"]),
-            best_metric=state_d["best_metric"],
-            best_params=best_params,
-            records=[EpochRecord.from_record(r) for r in state_d["records"]],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptHeaderError(f"{path}: unreadable trailer state ({exc!r})") from None
+    state = TrainState(
+        epochs_done=trailer.state.epochs_done,
+        velocity=velocity,
+        best_epoch=trailer.state.best_epoch,
+        best_metric=trailer.state.best_metric,
+        best_params=best_params,
+        records=list(trailer.state.records),
+    )
     return model, state, (arch, train_cfg)

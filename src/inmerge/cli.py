@@ -1,13 +1,22 @@
 """Command-line surface: train, evaluate, analyze kernels, run ablations.
 
-Commands (the run-config layout is documented in ``inmerge.configio``):
+Commands:
 
     inmerge train   --config run.json [--out DIR]
     inmerge eval    --checkpoint PATH --data DIR --split {train,val,test} [--out DIR]
     inmerge analyze --checkpoint PATH --layer N [--out DIR]
     inmerge ablate  --config run.json --axis NAME --values CSV --seeds CSV --out DIR
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
+Exit codes: 0 success, 2 config error, 3 data error (including a path
+that cannot be read), 4 numeric failure.
+
+A run config (``RunDoc``) is a JSON object with the keys "arch"
+(ArchConfig fields; "layers" is a list of LayerSpec fields), "data"
+({"dir": dataset directory}), "train" (TrainConfig fields; "merge" is
+a MergeConfig), an optional "merge" that replaces "train.merge", and
+"output" (a directory). A merge config without a "seed" takes the train
+seed. Absent keys take the field defaults. Unknown keys, wrong JSON
+types and out-of-range values exit 2, naming the key path (``configio``).
 
 Every content-bearing artifact is deterministic: re-running a command
 with the same config yields byte-identical files. Wall-clock timing goes
@@ -30,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint
-from .configio import arch_from_dict, train_from_dict
+from .configio import decode
 from .data import DatasetHandle, load_dataset
 from .errors import CheckpointError, ConfigError, DataError, InmergeError, NumericError
 from .merging import MergeConfig, similarity_stats
@@ -47,9 +56,6 @@ from .training import (
     val_metric_of,
 )
 
-RUN_CONFIG_KEYS = {"arch", "data", "train", "merge", "output"}
-DATA_KEYS = {"dir"}
-
 # --axis token -> MergeConfig field
 ABLATE_AXES = {
     "alpha": "alpha",
@@ -60,63 +66,37 @@ ABLATE_AXES = {
 }
 
 
-@dataclass
-class RunConfig:
+@dataclass(frozen=True)
+class DataSection:
+    dir: str
+
+
+@dataclass(frozen=True)
+class RunDoc:
+    """A run config; see the module docstring."""
+
     arch: ArchConfig
-    data_dir: Path
+    data: DataSection
     train: TrainConfig
-    out_dir: Path
+    output: str
+    merge: MergeConfig | None = None
 
 
-def load_run_config(path: str | Path) -> RunConfig:
+def load_run_config(path: str | Path) -> RunDoc:
+    """The run config at ``path``, with "merge" folded into "train"."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    unknown = set(doc) - RUN_CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}")
-    for key in ("arch", "data", "train", "output"):
-        if key not in doc:
-            raise ConfigError(f"{path}: missing required section {key!r}")
-    data_sec = doc["data"]
-    if not isinstance(data_sec, dict):
-        raise ConfigError(f"{path}: data must be an object")
-    bad = set(data_sec) - DATA_KEYS
-    if bad:
-        raise ConfigError(f"{path}: data: unknown key(s) {sorted(bad)}")
-    if "dir" not in data_sec:
-        raise ConfigError(f"{path}: data: missing 'dir'")
-    if not isinstance(data_sec["dir"], str):
-        raise ConfigError(f"{path}: data.dir must be a string")
-    if not isinstance(doc["output"], str):
-        raise ConfigError(f"{path}: output must be a string")
-    train = doc["train"]
-    if "merge" in doc and isinstance(train, dict):  # a non-object train fails in train_from_dict
-        train = {**train, "merge": doc["merge"]}
-    return RunConfig(
-        arch=arch_from_dict(doc["arch"]),
-        data_dir=Path(data_sec["dir"]),
-        train=train_from_dict(train),
-        out_dir=Path(doc["output"]),
-    )
+    blob = path.read_bytes()
+    # an absent merge seed is the train seed, which is known once the document is typed
+    seed = decode(RunDoc, blob, ConfigError, str(path)).train.seed
+    doc = decode(RunDoc, blob, ConfigError, str(path), defaults={MergeConfig: {"seed": seed}})
+    train = doc.train if doc.merge is None else replace(doc.train, merge=doc.merge)
+    return replace(doc, train=train, merge=None)
 
 
 def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _echo_dict(arch: ArchConfig, train: TrainConfig, data_dir: Path) -> dict:
-    return {
-        "arch": asdict(arch),
-        "data": {"dir": str(data_dir)},
-        "train": asdict(train),
-    }
 
 
 def _write_run_artifacts(out_dir: Path, result: ProtocolResult, echo: dict) -> None:
@@ -148,7 +128,8 @@ def _run_cell(arch, handle, cfg, out_dir: Path, data_dir: Path) -> ProtocolResul
     """Train once and write the full artifact set into ``out_dir``."""
     out_dir.mkdir(parents=True, exist_ok=True)
     result = run_protocol(arch, handle, cfg, checkpoint_path=out_dir / "last.ckpt")
-    _write_run_artifacts(out_dir, result, _echo_dict(arch, cfg, data_dir))
+    echo = {"arch": asdict(arch), "data": {"dir": str(data_dir)}, "train": asdict(cfg)}
+    _write_run_artifacts(out_dir, result, echo)
     shutil.copyfile(out_dir / "last.ckpt", out_dir / "final.ckpt")
     _save_best_checkpoint(result, arch, cfg, out_dir / "best.ckpt")
     return result
@@ -160,10 +141,10 @@ def _run_cell(arch, handle, cfg, out_dir: Path, data_dir: Path) -> ProtocolResul
 
 def cmd_train(args) -> int:
     rc = load_run_config(args.config)
-    out_dir = Path(args.out) if args.out else rc.out_dir
-    handle = load_dataset(rc.data_dir)
+    out_dir = Path(args.out or rc.output)
+    handle = load_dataset(rc.data.dir)
     started = time.time()
-    result = _run_cell(rc.arch, handle, rc.train, out_dir, rc.data_dir)
+    result = _run_cell(rc.arch, handle, rc.train, out_dir, Path(rc.data.dir))
     (out_dir / "run_meta.json").write_text(
         _dump_json({"started_unix": started, "duration_s": time.time() - started})
     )
@@ -290,7 +271,7 @@ def cmd_ablate(args) -> int:
         raise ConfigError("--seeds must list non-negative integers")
 
     rc = load_run_config(args.config)
-    handle = load_dataset(rc.data_dir)
+    handle = load_dataset(rc.data.dir)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     base_merge = rc.train.merge if rc.train.merge is not None else MergeConfig()
@@ -305,7 +286,7 @@ def cmd_ablate(args) -> int:
     def run_one(job):
         value, seed = job
         cell_dir = out_dir / f"{args.axis}_{value}" / f"seed_{seed}"
-        result = _run_cell(rc.arch, handle, cell_cfg(value, seed), cell_dir, rc.data_dir)
+        result = _run_cell(rc.arch, handle, cell_cfg(value, seed), cell_dir, Path(rc.data.dir))
         test_bundle = evaluate(result.best_model, handle, "test")
         return job, val_metric_of(test_bundle, handle.task)
 
@@ -379,15 +360,12 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, CheckpointError) as exc:
+    except (DataError, CheckpointError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
     except InmergeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

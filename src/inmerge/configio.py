@@ -1,107 +1,106 @@
-"""Plain-dict -> config conversion with strict key checking.
+"""Strict decoding of JSON documents into typed dataclasses.
 
-Used by the checkpoint trailer (config echo) and the CLI's run-config
-files; the other direction is ``dataclasses.asdict``. Unknown keys are
-rejected everywhere so a typo like "aplha" fails loudly instead of
-silently training with a default.
+``decode`` is the one reader of every JSON document the engine loads:
+run configs (``cli``), dataset ``meta.json`` (``data``), and checkpoint
+headers and trailers (``checkpoint``). A document is UTF-8 bytes holding
+one JSON value, read into the target type by its annotations:
 
-Run-config layout (JSON)::
+- dataclass: an object. Unknown keys and missing required keys are
+  rejected; an absent key takes the field default.
+- ``int``: an integer, not ``true``/``false``. ``float``: a finite
+  number, an integer widened. ``str``: a string. ``bool``: a boolean.
+- ``X | None``: ``null`` or an X. ``tuple[T, ...]``: a list of T (a
+  ``tuple[T, T, T]`` too; its length is left to ``validate``).
+  ``dict[str, T]``: an object of T.
 
-    {"arch": {ArchConfig fields; "layers": [{LayerSpec fields}, ...]},
-     "data": {"dir": dataset directory},
-     "train": {TrainConfig fields}, "merge": {MergeConfig fields},
-     "output": output directory}
-
-"merge" is optional and overrides "train.merge"; without a seed it takes
-the train seed. Keys, defaults and casts come from the dataclass fields:
-a missing key takes the field's default, and a ``bool`` field accepts
-only a JSON boolean.
+Nothing is coerced. A mismatch raises the caller's error class and names
+the key path, e.g. ``run.json: train.merge.skip_layers: expected an
+integer, got 2.5``. A decoded dataclass with a ``validate`` method is
+then checked by it; an out-of-range value fails the same way.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, fields, replace
+import dataclasses
+import functools
+import json
+import sys
+import types
+import typing
 
 from .errors import ConfigError
-from .layers import LayerSpec
-from .merging import MergeConfig
-from .model import ArchConfig
-from .training import TrainConfig
+
+_hints = functools.cache(typing.get_type_hints)
+_EXPECTED = {
+    int: "an integer", float: "a finite number", str: "a string", bool: "true or false",
+    tuple: "a list", dict: "an object",
+}
 
 
-def _json_bool(value) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"expected true or false, got {value!r}")
-    return value
+class _Mismatch(Exception):
+    """(key path, message): a JSON value does not fit its annotation."""
 
 
-def _int_tuple(value) -> tuple[int, ...]:
-    if not isinstance(value, list | tuple):
-        raise ValueError(f"expected a list of integers, got {value!r}")
-    return tuple(int(v) for v in value)
-
-
-def _optional(cast):
-    return lambda value: None if value is None else cast(value)
-
-
-_CASTS = {"int": int, "float": float, "str": str, "bool": _json_bool}
-
-
-def _build(cls, section: str, d, casts=None, **defaults):
-    """``cls`` built from ``d``: unknown or missing-required keys rejected,
-    every given value cast per its field type (or ``casts[name]``), absent
-    ones left to ``defaults`` and then to the dataclass default."""
-    if not isinstance(d, dict):
-        raise ConfigError(f"{section}: must be an object, got {type(d).__name__}")
-    known = {f.name: f for f in fields(cls)}
-    unknown = set(d) - set(known)
-    if unknown:
-        raise ConfigError(f"{section}: unknown key(s) {sorted(unknown)}; allowed: {sorted(known)}")
-    for name, f in known.items():
-        if f.default is MISSING and name not in d:
-            raise ConfigError(f"{section}: missing required key {name!r}")
-    kwargs = dict(defaults)
-    for key, value in d.items():
-        cast = (casts or {}).get(key) or _CASTS[known[key].type]
+def decode(cls, doc, error: type[Exception], source: str, defaults=None):
+    """``cls`` read from ``doc``: UTF-8 JSON bytes, or a value already
+    parsed from JSON. Every failure raises ``error``, its message led by
+    ``source``. ``defaults`` maps a dataclass to field values that stand
+    in for its own defaults wherever that class occurs in the document."""
+    if isinstance(doc, bytes):
         try:
-            kwargs[key] = cast(value)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"{section}.{key}: {exc}") from None
-    return cls(**kwargs)
+            doc = json.loads(doc.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
+            raise error(f"{source}: not a UTF-8 JSON document ({exc})") from None
+    try:
+        return _value(cls, doc, "", defaults or {})
+    except _Mismatch as exc:
+        path, message = exc.args  # paths start with "." below the top level
+        raise error(": ".join(filter(None, (source, path.removeprefix("."), message)))) from None
 
 
-def merge_from_dict(d: dict, default_seed: int = 0) -> MergeConfig:
-    cfg = _build(MergeConfig, "merge", d, seed=default_seed)
-    cfg.validate()
-    return cfg
+def _value(tp, value, path: str, defaults: dict):
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if dataclasses.is_dataclass(tp):
+        return _object(tp, value, path, defaults)
+    if origin in (types.UnionType, typing.Union):  # X | None
+        (inner,) = [a for a in args if a is not type(None)]
+        return None if value is None else _value(inner, value, path, defaults)
+    if origin is tuple and type(value) is list:  # a tuple[T, T, T] length is left to validate
+        return tuple(_value(args[0], v, f"{path}[{i}]", defaults) for i, v in enumerate(value))
+    if origin is dict and type(value) is dict:
+        return {k: _value(args[1], v, f"{path}.{k}", defaults) for k, v in value.items()}
+    if tp is float:
+        # comparing with the largest float also fails NaN, +-inf and huge integers
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+            return float(value)
+    elif type(value) is tp:
+        return value
+    raise _Mismatch(path, f"expected {_EXPECTED[origin or tp]}, got {value!r:.80}")
 
 
-def train_from_dict(d: dict) -> TrainConfig:
-    cfg = _build(
-        TrainConfig, "train", d,
-        casts={"milestones": _optional(_int_tuple), "merge": lambda merge: merge},
-    )
-    if cfg.merge is not None:
-        cfg = replace(cfg, merge=merge_from_dict(cfg.merge, default_seed=cfg.seed))
-    cfg.validate()
-    return cfg
+def _object(cls, value, path: str, defaults: dict):
+    if type(value) is not dict:
+        raise _Mismatch(path, f"expected an object, got {value!r:.80}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(value) - set(fields))
+    if unknown:
+        raise _Mismatch(path, f"unknown key(s) {unknown}; allowed: {sorted(fields)}")
+    given = {**defaults.get(cls, {}), **value}
+    for name, f in fields.items():
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        if required and name not in given:
+            raise _Mismatch(path, f"missing required key {name!r}")
+    obj = cls(**{k: _value(_hints(cls)[k], v, f"{path}.{k}", defaults) for k, v in given.items()})
+    if hasattr(obj, "validate"):
+        try:
+            obj.validate()
+        except ConfigError as exc:
+            raise _Mismatch(path, str(exc)) from None
+    return obj
 
 
-def _layers_from_list(layers) -> tuple[LayerSpec, ...]:
-    return tuple(_build(LayerSpec, f"arch.layers[{i}]", ld) for i, ld in enumerate(layers))
+def arch_from_dict(d):
+    """A validated ``ArchConfig`` from a parsed JSON object."""
+    from .model import ArchConfig  # local import: model imports data, which imports this module
 
-
-def arch_from_dict(d: dict) -> ArchConfig:
-    cfg = _build(
-        ArchConfig, "arch", d,
-        casts={
-            "input_shape": _int_tuple,
-            "preset": _optional(str),
-            "layers": _optional(_layers_from_list),
-        },
-    )
-    cfg.validate()
-    return cfg
+    return decode(ArchConfig, d, ConfigError, "arch")

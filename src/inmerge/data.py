@@ -30,13 +30,15 @@ val/test clean so generalization stays measurable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
 from . import seeding
+from .configio import decode
 from .errors import (
     ConfigError,
     DataError,
@@ -49,6 +51,23 @@ from .errors import (
 TASKS = ("multiclass", "multilabel")
 SPLIT_NAMES = ("train", "val", "test")
 SYNTH_KINDS = ("gauss_blobs", "striped_textures")
+
+
+@dataclass(frozen=True)
+class Normalization:
+    mean: tuple[float, ...]
+    std: tuple[float, ...]
+
+
+@dataclass(frozen=True)
+class Meta:  # the meta.json document
+    task: str
+    num_classes: int
+    channels: int
+    height: int
+    width: int
+    splits: dict[str, int]  # split name -> sample count
+    normalization: Normalization
 
 
 @dataclass
@@ -78,6 +97,8 @@ class DatasetHandle:
             raise DataError(f"splits must be exactly {SPLIT_NAMES}, got {sorted(self.splits)}")
         if len(self.mean) != self.channels or len(self.std) != self.channels:
             raise DataError("normalization constants must have one entry per channel")
+        if not all(math.isfinite(v) for v in (*self.mean, *self.std)):
+            raise DataError("normalization constants must be finite")
         if any(s <= 0 for s in self.std):
             raise DataError("normalization std must be > 0 per channel")
         shape = (self.channels, self.height, self.width)
@@ -113,16 +134,16 @@ def save_dataset(handle: DatasetHandle, directory: str | Path) -> None:
         )
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    meta = {
-        "task": handle.task,
-        "num_classes": handle.num_classes,
-        "channels": handle.channels,
-        "height": handle.height,
-        "width": handle.width,
-        "splits": {name: len(handle.splits[name]) for name in SPLIT_NAMES},
-        "normalization": {"mean": list(handle.mean), "std": list(handle.std)},
-    }
-    (directory / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    meta = Meta(
+        task=handle.task,
+        num_classes=handle.num_classes,
+        channels=handle.channels,
+        height=handle.height,
+        width=handle.width,
+        splits={name: len(handle.splits[name]) for name in SPLIT_NAMES},
+        normalization=Normalization(mean=handle.mean, std=handle.std),
+    )
+    (directory / "meta.json").write_text(json.dumps(asdict(meta), indent=2, sort_keys=True) + "\n")
     for name in SPLIT_NAMES:
         split = handle.splits[name]
         (directory / f"{name}_images.bin").write_bytes(split.images.tobytes())
@@ -136,25 +157,18 @@ def load_dataset(directory: str | Path) -> DatasetHandle:
     meta_path = directory / "meta.json"
     if not meta_path.is_file():
         raise DatasetMissingFileError(f"missing {meta_path}")
-    try:
-        meta = json.loads(meta_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{meta_path}: invalid JSON ({exc})") from None
-    try:
-        task = meta["task"]
-        k = int(meta["num_classes"])
-        c, h, w = int(meta["channels"]), int(meta["height"]), int(meta["width"])
-        sizes = {name: int(meta["splits"][name]) for name in SPLIT_NAMES}
-        mean = tuple(float(v) for v in meta["normalization"]["mean"])
-        std = tuple(float(v) for v in meta["normalization"]["std"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{meta_path}: malformed descriptor ({exc!r})") from None
+    meta = decode(Meta, meta_path.read_bytes(), DataError, str(meta_path))
+    task, k, c, h, w = meta.task, meta.num_classes, meta.channels, meta.height, meta.width
     if task not in TASKS:
         raise DataError(f"{meta_path}: unknown task kind {task!r}")
+    if set(meta.splits) != set(SPLIT_NAMES):
+        raise DataError(f"{meta_path}: splits must be exactly {SPLIT_NAMES}")
+    if min(k, c, h, w) < 1 or min(meta.splits.values()) < 0:
+        raise DataError(f"{meta_path}: class count and image extents must be >= 1, sizes >= 0")
 
     splits: dict[str, Split] = {}
     for name in SPLIT_NAMES:
-        n = sizes[name]
+        n = meta.splits[name]
         images = _read_blob(directory / f"{name}_images.bin", n * c * h * w)
         label_bytes = n if task == "multiclass" else n * k
         raw_labels = _read_blob(directory / f"{name}_labels.bin", label_bytes)
@@ -166,7 +180,7 @@ def load_dataset(directory: str | Path) -> DatasetHandle:
 
     handle = DatasetHandle(
         task=task, num_classes=k, channels=c, height=h, width=w,
-        splits=splits, mean=mean, std=std,
+        splits=splits, mean=meta.normalization.mean, std=meta.normalization.std,
     )
     handle.validate()  # label domains, shapes, normalization constants
     return handle

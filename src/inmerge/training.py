@@ -97,10 +97,6 @@ class EpochRecord:
     def to_record(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_record(cls, rec: dict) -> "EpochRecord":
-        return cls(**rec)
-
 
 @dataclass
 class TrainLog:

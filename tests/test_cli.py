@@ -290,6 +290,14 @@ class TestAnalyzeCommand:
         assert len(hist) == 21  # 20 bins
 
 
+class TestUnreadablePaths:
+    @pytest.mark.parametrize("command", ["eval", "analyze"])
+    def test_directory_as_checkpoint_exits_3(self, dataset_dir, tmp_path, capsys, command):
+        extra = ["--data", str(dataset_dir)] if command == "eval" else ["--layer", "0"]
+        assert main([command, "--checkpoint", str(tmp_path), *extra]) == 3
+        assert capsys.readouterr().err.startswith("data error:")
+
+
 class TestAblateCommand:
     def test_p_axis_grid(self, dataset_dir, tmp_path, capsys):
         cfg = write_config(tmp_path, run_config(dataset_dir, tmp_path / "unused", seed=0))

@@ -260,3 +260,32 @@ class TestHandleValidation:
     def test_rejects_rank_error(self):
         with pytest.raises(ShapeError):
             normalize(np.zeros((2, 2), np.uint8), [0.5], [0.5])
+
+    @pytest.mark.parametrize(
+        "mean, std",
+        [((0.5,), (float("nan"),)), ((0.5,), (float("inf"),)), ((float("nan"),), (0.5,)),
+         ((float("-inf"),), (0.5,)), ((0.5,), (0.0,))],
+        ids=["std-nan", "std-inf", "mean-nan", "mean-neg-inf", "std-zero"],
+    )
+    def test_rejects_non_finite_or_non_positive_constants(self, small_handle, tmp_path, mean, std):
+        """A handle ``load_dataset`` would refuse is never written."""
+        handle = DatasetHandle(
+            task="multiclass", num_classes=3, channels=1, height=12, width=12,
+            splits=small_handle.splits, mean=mean, std=std,
+        )
+        with pytest.raises(DataError):
+            handle.validate()
+        with pytest.raises(DataError):
+            save_dataset(handle, tmp_path / "out")
+        assert not (tmp_path / "out" / "meta.json").exists()
+
+    @pytest.mark.parametrize(
+        "override", [{"channels": -1, "height": -12}, {"height": -12, "width": -12}]
+    )
+    def test_loader_rejects_negative_extents(self, small_handle, tmp_path, override):
+        """Two negative extents keep the blob sizes right; reshaping by them must not crash."""
+        save_dataset(small_handle, tmp_path)
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        (tmp_path / "meta.json").write_text(json.dumps({**meta, **override}))
+        with pytest.raises(DataError):
+            load_dataset(tmp_path)
