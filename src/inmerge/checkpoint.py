@@ -15,8 +15,10 @@ Tensor names are namespaced: ``param/<name>`` for model parameters
 
 The RNG position is just the next epoch index: all training streams are
 derived per epoch (see ``seeding``), so an epoch boundary fully
-determines every generator. Files are written via temp file + rename,
-so readers never observe a half-written checkpoint.
+determines every generator. ``load`` refuses, as a corrupt header, any
+format other than ``FORMAT_VERSION`` and any RNG position other than
+``RNG_SCHEME`` at the epochs done. Files are written via temp file +
+rename, so readers never observe a half-written checkpoint.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .training import EpochRecord, TrainConfig, TrainState
 
 MAGIC = b"IMRG1"
 FORMAT_VERSION = 1
+RNG_SCHEME = "per-epoch-streams"
 
 
 @dataclass(frozen=True)
@@ -123,7 +126,7 @@ def save(
             "state": asdict(TrailerState(
                 state.epochs_done, state.best_epoch, state.best_metric, tuple(state.records)
             )),
-            "rng": asdict(RngPosition("per-epoch-streams", state.epochs_done)),
+            "rng": asdict(RngPosition(RNG_SCHEME, state.epochs_done)),
         },
         sort_keys=True,
     ).encode("utf-8")
@@ -158,6 +161,8 @@ def load(path: str | Path) -> tuple[Model, TrainState, tuple[ArchConfig, TrainCo
         Header, blob[header_start : header_start + header_len], CorruptHeaderError,
         f"{path}: unreadable header",
     )
+    if header.format != FORMAT_VERSION:
+        raise CorruptHeaderError(f"{path}: unknown checkpoint format {header.format}")
     payload_bytes, entries = header.payload_bytes, header.tensors
 
     payload_start = header_start + header_len
@@ -189,6 +194,10 @@ def load(path: str | Path) -> tuple[Model, TrainState, tuple[ArchConfig, TrainCo
         Trailer, blob[payload_start + payload_bytes :], CorruptHeaderError,
         f"{path}: unreadable trailer",
     )
+    if trailer.rng != RngPosition(RNG_SCHEME, trailer.state.epochs_done):
+        raise CorruptHeaderError(
+            f"{path}: RNG position {asdict(trailer.rng)} != {RNG_SCHEME!r} at epochs_done"
+        )
     arch, train_cfg = trailer.configs.arch, trailer.configs.train
 
     model = build_model(arch, train_cfg.seed)

@@ -21,7 +21,10 @@ types and out-of-range values exit 2, naming the key path (``configio``).
 Every content-bearing artifact is deterministic: re-running a command
 with the same config yields byte-identical files. Wall-clock timing goes
 to a separate ``run_meta.json`` that is excluded from that guarantee.
-``INMERGE_THREADS`` caps ablation worker parallelism (default 1).
+``INMERGE_THREADS`` caps ablation worker parallelism (default 1). Every
+layer already spreads its batch over the cores (``layers.ShardPool``);
+ablation threads share that one pool, so ``INMERGE_THREADS`` > 1 shares
+the same cores rather than adding any.
 """
 
 from __future__ import annotations

@@ -27,13 +27,26 @@ float32, while gradient-checking tests may pass float64.
 
 Speed and memory:
 
+- Batch shards use every core. conv2d, relu and the ``window == stride``
+  max-pool run their batch as ``SHARDS`` shards (conv2d: groups of its
+  chunks) on ``ShardPool``: min(``SHARDS``, usable CPUs) worker threads,
+  started on first use. Shard boundaries depend on shapes and ``SHARDS``
+  only, and every worker and calling thread is set to one BLAS thread by
+  ``openblas_set_num_threads_local`` (numpy's pthreads OpenBLAS applies
+  it process-wide), so results are byte-identical for any worker count.
+  Without that symbol, on one CPU or for one sample, shards run on the
+  calling thread. Checks (``ensure_finite``) run on the calling thread,
+  which also allocates the large buffers the workers fill: memory a
+  worker frees stays in its own malloc arena.
 - conv2d lowers to GEMMs over an im2col patch matrix (Chellapilla et al.
-  2006). A batch whose patch matrix fits ``PATCH_KEEP_LIMIT`` is one
-  chunk, and forward hands its patch matrix on to backward. A larger
-  batch runs in chunks of ``max(1, PATCH_BUDGET // (C_in*kh*kw*h_out*
-  w_out*itemsize))`` samples, so each chunk's patches are consumed while
-  still in cache; it keeps only its input, and backward gathers the
-  patches again, chunk by chunk.
+  2006). A batch whose patch matrix fits ``PATCH_KEEP_LIMIT`` keeps it
+  whole, gathered one shard at a time, and forward hands it on to
+  backward. A larger batch runs in chunks of ``max(1, PATCH_BUDGET //
+  (C_in*kh*kw*h_out*w_out*itemsize))`` samples, so each chunk's patches
+  are consumed while still in cache; it keeps only its input, and
+  backward gathers the patches again, chunk by chunk. A kept batch's
+  weight and bias gradients are one GEMM and one sum over the batch on
+  the calling thread; a chunked one's are summed chunk by chunk.
 - maxpool2d with ``window == stride`` (non-overlapping windows) takes the
   maximum over the ``window**2`` strided views of its input and routes
   backward through the same views; overlapping pools take the argmax over
@@ -42,6 +55,10 @@ Speed and memory:
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,6 +134,78 @@ def flatten_spec() -> LayerSpec:
 
 
 # ---------------------------------------------------------------------------
+# batch shards
+
+# Pieces a layer splits its batch into. Shard boundaries depend only on
+# shapes and this constant, never on the worker count, so results are
+# byte-identical whichever thread runs a shard.
+SHARDS = 2
+
+
+def _shards(n: int) -> list[tuple[int, int]]:
+    """``SHARDS`` near-equal (lo, hi) ranges of ``range(n)``, empty ones dropped."""
+    bounds = [n * s // SHARDS for s in range(SHARDS + 1)]
+    return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+
+
+def _blas_set_local():
+    """``openblas_set_num_threads_local`` of the OpenBLAS numpy bundles, or None."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    names = os.listdir(libs) if os.path.isdir(libs) else []
+    for path in [os.path.join(libs, name) for name in names if "openblas" in name]:
+        fn = getattr(ctypes.CDLL(path), "openblas_set_num_threads_local", None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [ctypes.c_int], ctypes.c_int
+            return fn
+    return None
+
+
+class ShardPool:
+    """Worker threads for a layer's shards, each with one BLAS thread.
+
+    ``workers`` defaults to min(``SHARDS``, usable CPUs). ``map`` runs on
+    the calling thread when there is one worker, when numpy's OpenBLAS
+    lacks ``openblas_set_num_threads_local``, or for fewer than two jobs.
+    With the symbol, the calling thread is set to one BLAS thread too, so
+    no result depends on which thread computes it. Threads start on first
+    use.
+    """
+
+    def __init__(self, workers: int | None = None):
+        self._workers = workers or min(SHARDS, len(os.sched_getaffinity(0)))
+        self._lock = threading.Lock()
+        self._started = False
+        self._set_local = None
+        self._executor = None
+
+    def map(self, fn, jobs: list) -> list:
+        """[fn(*job) for job in jobs]; returns once all have finished,
+        raising the first error."""
+        with self._lock:
+            if not self._started:
+                self._started, self._set_local = True, _blas_set_local()
+                if self._set_local is not None and self._workers > 1:
+                    # imported on first use: importing it with the module costs ~8 ms
+                    from concurrent.futures import ThreadPoolExecutor
+
+                    self._executor = ThreadPoolExecutor(
+                        self._workers, "inmerge-shard", initializer=self._set_local, initargs=(1,)
+                    )
+        if self._set_local is not None:
+            self._set_local(1)
+        if self._executor is None or len(jobs) < 2:
+            return [fn(*job) for job in jobs]
+        # each call sees the caller's context, e.g. its numpy errstate
+        futures = [self._executor.submit(contextvars.copy_context().run, fn, *job) for job in jobs]
+        for future in futures:
+            future.exception()  # waits for every call before any error is raised
+        return [f.result() for f in futures]
+
+
+_POOL = ShardPool()
+
+
+# ---------------------------------------------------------------------------
 # conv2d
 
 # Both limits were sized on a 2-core Xeon (4 MiB L2 per core, shared L3)
@@ -134,9 +223,10 @@ PATCH_KEEP_LIMIT = 32 << 20
 
 
 def _im2col(
-    padded: np.ndarray, kh: int, kw: int, stride: int, h_out: int, w_out: int
+    padded: np.ndarray, kh: int, kw: int, stride: int, h_out: int, w_out: int, out: np.ndarray
 ) -> np.ndarray:
-    """Patch matrix (C*kh*kw, N*h_out*w_out) from a padded NCHW batch.
+    """Patch matrix (C*kh*kw, N*h_out*w_out) of a padded NCHW batch,
+    gathered into ``out``, a (C, kh, kw, N, h_out, w_out) view.
 
     Keeping the spatial axes minor makes the gather run over long
     contiguous spans of the input, which dominates conv throughput here.
@@ -144,8 +234,8 @@ def _im2col(
     n, c = padded.shape[:2]
     win = sliding_window_view(padded, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
     # (N, C, h_out, w_out, kh, kw) -> (C, kh, kw, N, h_out, w_out)
-    gathered = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3))
-    return gathered.reshape(c * kh * kw, n * h_out * w_out)
+    np.copyto(out, win.transpose(1, 4, 5, 0, 2, 3))
+    return out.reshape(c * kh * kw, n * h_out * w_out)
 
 
 def _padable(x: np.ndarray, padding: int) -> np.ndarray:
@@ -170,14 +260,28 @@ def _conv_geometry(x, weight, bias, stride, padding):
     return h_out, w_out
 
 
-def _chunk_size(x: np.ndarray, weight: np.ndarray, h_out: int, w_out: int) -> int:
-    """Samples per batch chunk: the whole batch if its patches fit
-    ``PATCH_KEEP_LIMIT``, else as many as fit ``PATCH_BUDGET``, at least one."""
+def _conv_chunks(
+    x: np.ndarray, weight: np.ndarray, h_out: int, w_out: int
+) -> tuple[int, list[list[tuple[int, int]]], bool]:
+    """(step, shards, kept): the batch's (lo, hi) chunks of at most ``step``
+    samples, grouped into ``_shards``. A batch whose patches fit
+    ``PATCH_KEEP_LIMIT`` is kept: one patch matrix, one chunk per shard. A
+    larger one runs in chunks of as many samples as fit ``PATCH_BUDGET``."""
     n = x.shape[0]
     per_sample = weight[0].size * h_out * w_out * x.dtype.itemsize
-    if n * per_sample <= PATCH_KEEP_LIMIT:
-        return max(n, 1)
-    return max(1, PATCH_BUDGET // per_sample)
+    kept = n * per_sample <= PATCH_KEEP_LIMIT
+    step = max(1, -(-n // SHARDS) if kept else PATCH_BUDGET // per_sample)
+    chunks = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    return step, [chunks[lo:hi] for lo, hi in _shards(len(chunks))], kept
+
+
+def _patch_buffers(shards, whole, shape, dtype) -> list[np.ndarray]:
+    """One patch buffer per shard, allocated on the calling thread (see the
+    module docstring): the shard's sample block of ``whole``, a kept
+    batch's (C, kh, kw, N, h_out, w_out) patches, or room for one chunk."""
+    if whole is not None:
+        return [whole[:, :, :, chunks[0][0] :] for chunks in shards]
+    return [np.empty(shape, dtype) for _ in shards]
 
 
 def conv2d_forward(
@@ -190,29 +294,37 @@ def conv2d_forward(
 ) -> np.ndarray:
     """Cross-correlate an NCHW batch with OIHW kernels, zero padding.
 
-    A batch whose patches exceed ``PATCH_KEEP_LIMIT`` runs in chunks of
-    ``_chunk_size`` samples: each chunk's patch matrix is gathered and
-    multiplied while it is in cache. Chunking leaves every output element
-    bit-identical, since each is one dot product over the same patch column.
+    The batch runs in the chunks of ``_conv_chunks``, one pool job per
+    shard: each chunk's patches are gathered and multiplied while they are
+    in cache. Chunking leaves every output element bit-identical, since
+    each is one dot product over the same patch column.
 
-    ``_cols_out``, when given, receives the patch matrix if the whole batch
-    was one chunk, so a following ``conv2d_backward`` can skip regathering
-    it. A chunked batch's patches are not kept: backward gathers them again,
-    chunk by chunk, which holds far less memory from forward to backward.
+    ``_cols_out``, when given, receives the patch matrix of a kept batch,
+    so a following ``conv2d_backward`` can skip regathering it. A chunked
+    batch's patches are not kept: backward gathers them again, chunk by
+    chunk, which holds far less memory from forward to backward.
     """
     h_out, w_out = _conv_geometry(x, weight, bias, stride, padding)
-    n = x.shape[0]
+    n, c_in = x.shape[:2]
     c_out, _, kh, kw = weight.shape
     w2 = weight.reshape(c_out, -1)
-    step = _chunk_size(x, weight, h_out, w_out)
+    step, shards, kept = _conv_chunks(x, weight, h_out, w_out)
     out = np.empty((n, c_out, h_out, w_out), dtype=np.result_type(x, weight))
-    for lo in range(0, n, step):
-        cols = _im2col(_padable(x[lo : lo + step], padding), kh, kw, stride, h_out, w_out)
-        if _cols_out is not None and step >= n:
-            _cols_out.append(cols)
-        chunk = w2 @ cols
-        chunk += bias[:, None]
-        out[lo : lo + step] = chunk.reshape(c_out, -1, h_out, w_out).transpose(1, 0, 2, 3)
+    cols = None
+    if kept and _cols_out is not None:
+        cols = np.empty((c_in, kh, kw, n, h_out, w_out), dtype=x.dtype)
+        _cols_out.append(cols.reshape(c_in * kh * kw, n * h_out * w_out))
+
+    def run(chunks, buf):
+        for lo, hi in chunks:
+            block = buf[:, :, :, : hi - lo]
+            patches = _im2col(_padable(x[lo:hi], padding), kh, kw, stride, h_out, w_out, block)
+            chunk = w2 @ patches
+            chunk += bias[:, None]
+            out[lo:hi] = chunk.reshape(c_out, -1, h_out, w_out).transpose(1, 0, 2, 3)
+
+    buffers = _patch_buffers(shards, cols, (c_in, kh, kw, step, h_out, w_out), x.dtype)
+    _POOL.map(run, list(zip(shards, buffers)))
     ensure_finite("conv2d_forward", out)
     return out
 
@@ -224,15 +336,17 @@ def conv2d_backward(
     stride: int = 1,
     padding: int = 0,
     cols: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    need_input_grad: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients (d_input, d_weight, d_bias) of the conv2d contract.
 
-    ``cols`` may pass back the whole-batch patch matrix captured by the
-    forward call; the batch is then one chunk. Otherwise patches are
-    gathered again from ``x`` in the forward's chunks. The input gradient
-    is bit-identical either way; weight and bias gradients of a batch that
-    spans several chunks are summed chunk by chunk, so they may differ
-    from a one-chunk sum in the last bits.
+    ``cols`` may pass back the patch matrix captured by the forward call.
+    Otherwise patches are gathered again from ``x`` in the forward's
+    chunks. Every gradient is bit-identical either way. A chunked batch's
+    weight and bias gradients are summed chunk by chunk, in batch order,
+    so they may differ from a one-chunk sum in the last bits. Without
+    ``need_input_grad`` the input gradient is skipped and None returned in
+    its place; the parameter gradients stay bit-identical.
     """
     c_out, c_in, kh, kw = weight.shape
     bias_probe = np.zeros(c_out, dtype=weight.dtype)
@@ -243,35 +357,59 @@ def conv2d_backward(
             f"conv2d_backward: grad shape {grad_out.shape} != {(n, c_out, h_out, w_out)}"
         )
     w2 = weight.reshape(c_out, -1)
-    step = max(n, 1) if cols is not None else _chunk_size(x, weight, h_out, w_out)
-    grad_x = np.empty(x.shape, dtype=grad_out.dtype)
-    # an empty batch still runs one (empty) chunk, which shapes the gradients
-    for lo in range(0, max(n, 1), step):
-        hi = min(lo + step, n)
-        patches = cols if cols is not None else _im2col(
-            _padable(x[lo:hi], padding), kh, kw, stride, h_out, w_out
-        )
-        g = np.ascontiguousarray(grad_out[lo:hi].transpose(1, 0, 2, 3)).reshape(c_out, -1)
-        if lo == 0:
-            grad_bias = g.sum(axis=1)
-            grad_weight = g @ patches.T
-        else:
-            grad_bias += g.sum(axis=1)
-            grad_weight += g @ patches.T
+    step, shards, kept = _conv_chunks(x, weight, h_out, w_out)
+    hw, dt, span_h, span_w = h_out * w_out, grad_out.dtype, stride * h_out, stride * w_out
+    grad_x = np.empty(x.shape, dtype=dt) if need_input_grad else None
+    # A kept batch's shards fill whole-batch buffers of patches and of the
+    # transposed output gradient; its weight and bias gradients are then one
+    # GEMM and one sum, bit-identical to an unsharded pass.
+    g_kept = np.empty((c_out, n, h_out, w_out), dt) if kept else None
+    gathered = np.empty((c_in, kh, kw, n, h_out, w_out), x.dtype) if kept and cols is None else None
 
-        dwin = (w2.T @ g).reshape(c_in, kh, kw, hi - lo, h_out, w_out)
-        # scatter in channel-major layout (matches dwin), transpose on the way out
-        dpad = np.zeros((c_in, hi - lo, h + 2 * padding, w + 2 * padding), dtype=grad_out.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                dpad[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += (
-                    dwin[:, i, j]
-                )
-        grad_x[lo:hi] = dpad[:, :, padding : padding + h, padding : padding + w].transpose(
-            1, 0, 2, 3
-        )
+    def run(chunks, buf, dwin):
+        parts = []
+        for lo, hi in chunks:
+            if buf is None:
+                patches = cols[:, lo * hw : hi * hw]
+            else:
+                block = buf[:, :, :, : hi - lo]
+                patches = _im2col(_padable(x[lo:hi], padding), kh, kw, stride, h_out, w_out, block)
+            if g_kept is None:
+                g = np.ascontiguousarray(grad_out[lo:hi].transpose(1, 0, 2, 3)).reshape(c_out, -1)
+                parts.append((g @ patches.T, g.sum(axis=1)))
+            else:
+                np.copyto(g_kept[:, lo:hi], grad_out[lo:hi].transpose(1, 0, 2, 3))
+                g = g_kept[:, lo:hi].reshape(c_out, -1)
+            if dwin is None:
+                continue
+            win = np.matmul(w2.T, g, out=dwin[:, : g.shape[1]])
+            win = win.reshape(c_in, kh, kw, hi - lo, h_out, w_out)
+            # scatter in channel-major layout (matches dwin), transpose on the way out
+            dpad = np.zeros((c_in, hi - lo, h + 2 * padding, w + 2 * padding), dtype=dt)
+            for i in range(kh):
+                for j in range(kw):
+                    dpad[:, :, i : i + span_h : stride, j : j + span_w : stride] += win[:, i, j]
+            grad_x[lo:hi] = dpad[:, :, padding : padding + h, padding : padding + w].transpose(
+                1, 0, 2, 3
+            )
+        return parts
+
+    buffers = [None] * len(shards) if cols is not None else _patch_buffers(
+        shards, gathered, (c_in, kh, kw, step, h_out, w_out), x.dtype
+    )
+    dwins = [np.empty((c_in * kh * kw, step * hw), dt) if need_input_grad else None for _ in shards]
+    parts = _POOL.map(run, list(zip(shards, buffers, dwins)))
+    if kept:
+        g = g_kept.reshape(c_out, -1)
+        patches = cols if cols is not None else gathered.reshape(c_in * kh * kw, -1)
+        parts = [[(g @ patches.T, g.sum(axis=1))]]
+    (grad_weight, grad_bias), *rest = [part for shard in parts for part in shard]
+    for part_weight, part_bias in rest:
+        grad_weight += part_weight
+        grad_bias += part_bias
     grad_weight = grad_weight.reshape(weight.shape)
-    ensure_finite("conv2d_backward", grad_x, grad_weight, grad_bias)
+    checked = (grad_weight, grad_bias) if grad_x is None else (grad_x, grad_weight, grad_bias)
+    ensure_finite("conv2d_backward", *checked)
     return grad_x, grad_weight, grad_bias
 
 
@@ -280,13 +418,19 @@ def conv2d_backward(
 
 
 def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+    out = np.empty_like(x)
+    _POOL.map(lambda lo, hi: np.maximum(x[lo:hi], 0, out=out[lo:hi]), _shards(len(x)))
+    return out
 
 
 def relu_backward(grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:
     if grad_out.shape != x.shape:
         raise ShapeError(f"relu_backward: grad shape {grad_out.shape} != {x.shape}")
-    return grad_out * (x > 0)
+    out = np.empty_like(grad_out)
+    _POOL.map(
+        lambda lo, hi: np.multiply(grad_out[lo:hi], x[lo:hi] > 0, out=out[lo:hi]), _shards(len(x))
+    )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +469,19 @@ def maxpool2d(x: np.ndarray, window: int, stride: int) -> tuple[np.ndarray, Pool
     h_out = out_extent(x.shape[2], window, stride, 0, "maxpool2d height")
     w_out = out_extent(x.shape[3], window, stride, 0, "maxpool2d width")
     if window == stride:
-        tiles = _tiles(x, window)
-        out = tiles[0].copy()
-        argmax = np.zeros(out.shape, dtype=np.min_scalar_type(window * window - 1))
-        for idx, tile in enumerate(tiles[1:], 1):
-            np.copyto(argmax, idx, where=tile > out)
-            # propagates NaN, so ensure_finite still sees a NaN input
-            np.maximum(tile, out, out=out)
+        shape = (x.shape[0], x.shape[1], h_out, w_out)
+        out = np.empty(shape, dtype=x.dtype)
+        argmax = np.zeros(shape, dtype=np.min_scalar_type(window * window - 1))
+
+        def run(lo, hi):
+            tiles, top, arg = _tiles(x[lo:hi], window), out[lo:hi], argmax[lo:hi]
+            np.copyto(top, tiles[0])
+            for idx, tile in enumerate(tiles[1:], 1):
+                np.copyto(arg, idx, where=tile > top)
+                # propagates NaN, so ensure_finite still sees a NaN input
+                np.maximum(tile, top, out=top)
+
+        _POOL.map(run, _shards(len(x)))
     else:
         win = sliding_window_view(x, (window, window), axis=(2, 3))[:, :, ::stride, ::stride]
         flat = win.reshape(*win.shape[:4], window * window)
@@ -356,10 +506,14 @@ def maxpool2d_backward(grad_out: np.ndarray, cache: PoolCache) -> np.ndarray:
         )
     if cache.window == cache.stride:
         grad_x = np.zeros(cache.input_shape, dtype=grad_out.dtype)
-        # + 0 turns -0.0 into +0.0, as the bincount sum below does
-        routed = grad_out + 0
-        for idx, tile in enumerate(_tiles(grad_x, cache.window)):
-            np.copyto(tile, routed, where=cache.argmax == idx)
+
+        def run(lo, hi):
+            # + 0 turns -0.0 into +0.0, as the bincount sum below does
+            routed, arg = grad_out[lo:hi] + 0, cache.argmax[lo:hi]
+            for idx, tile in enumerate(_tiles(grad_x[lo:hi], cache.window)):
+                np.copyto(tile, routed, where=arg == idx)
+
+        _POOL.map(run, _shards(n))
         return grad_x
     iy = np.arange(h_out)[:, None] * cache.stride + cache.argmax // cache.window
     ix = np.arange(w_out)[None, :] * cache.stride + cache.argmax % cache.window

@@ -185,8 +185,10 @@ class LayerKind:
     check     raises ShapeError when the spec's fields are invalid
     shape     (spec, per-sample input shape) -> per-sample output shape
     forward   (spec, x, weight, bias, want_cache) -> (output, cache)
-    backward  (spec, grad, cache, weight) -> input grad, or with parameters
-              (input grad, weight grad, bias grad)
+    backward  (spec, grad, cache, weight) -> input grad; with parameters
+              (spec, grad, cache, weight, need_input_grad) -> (input grad,
+              weight grad, bias grad), where the input grad may be None
+              when not needed
     prefix    parameter-name prefix (``conv`` -> ``conv0.weight``); None: no
               parameters. Weights are He-uniform over ``weight_shape``'s
               trailing extents as fan-in; biases start at zero.
@@ -207,8 +209,8 @@ KINDS: dict[str, LayerKind] = {
         ),
         shape=_conv_shape,
         forward=_conv_forward,
-        backward=lambda s, g, cache, w: conv2d_backward(
-            g, cache[0], w, s.stride, s.padding, cols=cache[1]
+        backward=lambda s, g, cache, w, need_input_grad: conv2d_backward(
+            g, cache[0], w, s.stride, s.padding, cols=cache[1], need_input_grad=need_input_grad
         ),
         prefix="conv",
         weight_shape=lambda s: (s.out_channels, s.in_channels, s.kernel_h, s.kernel_w),
@@ -233,7 +235,7 @@ KINDS: dict[str, LayerKind] = {
         check=lambda s: dense_spec(s.in_features, s.out_features),
         shape=_dense_shape,
         forward=lambda s, x, w, b, want_cache: (dense_forward(x, w, b), x),
-        backward=lambda s, g, x, w: dense_backward(g, x, w),
+        backward=lambda s, g, x, w, need_input_grad: dense_backward(g, x, w),
         prefix="dense",
         weight_shape=lambda s: (s.out_features, s.in_features),
     ),
@@ -324,7 +326,8 @@ class Model:
 
     def backward(self, grad_logits: np.ndarray, caches: list) -> dict[str, np.ndarray]:
         """Parameter gradients (same keys as ``params``) for a forward pass
-        recorded with ``want_caches=True``."""
+        recorded with ``want_caches=True``. The first layer's input gradient
+        is not computed: nothing uses the gradient of the input images."""
         grads: dict[str, np.ndarray] = {}
         g = grad_logits
         for pos in range(len(self.layers) - 1, -1, -1):
@@ -334,7 +337,7 @@ class Model:
             else:
                 w = self.params[f"{base}.weight"]
                 g, grads[f"{base}.weight"], grads[f"{base}.bias"] = KINDS[spec.kind].backward(
-                    spec, g, caches[pos], w
+                    spec, g, caches[pos], w, pos > 0
                 )
         return grads
 

@@ -11,9 +11,16 @@ from pathlib import Path
 
 import numpy as np
 
+import inmerge.cli
+import inmerge.layers
+import inmerge.training
+from inmerge import MergeConfig, synth_make
+from inmerge.layers import ShardPool
 from inmerge.model import ArchConfig, build_model
+from inmerge.training import TrainConfig
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+TINY = ArchConfig(input_shape=(1, 28, 28), num_classes=4, preset="tiny_cnn")
 
 
 def _load_tracing():
@@ -62,3 +69,40 @@ def test_full_hooks_install_trace_a_step_and_restore():
     assert fwd[0]["x"] == x.shape and fwd[0]["w"] == model.params["conv0.weight"].shape
     assert (fwd[0]["stride"], fwd[0]["padding"]) == (1, 1)
     assert len(spans.get("tensor.ensure_finite", [])) > 0
+
+
+def test_train_epoch_on_two_pool_workers_traces_the_calling_thread_only(monkeypatch):
+    """Layer shards run on pool workers, yet every hooked name runs on the
+    calling thread: the tracer raises if a span opens on another thread."""
+    tracing = _load_tracing()
+    pool = ShardPool(2)
+    monkeypatch.setattr(inmerge.layers, "_POOL", pool)
+    data = synth_make("striped_textures", 8, 4, 1, 28, 28, seed=0)
+    cfg = TrainConfig(batch_size=16, seed=0, merge=MergeConfig(skip_layers=3, seed=0))
+    model = build_model(TINY, 0)
+    velocity = {k: np.zeros_like(v) for k, v in model.params.items()}
+    tracer = tracing.Tracer()
+    try:
+        with tracing.installed(tracer, tracing.hooks(full=True)):
+            inmerge.training.train_epoch(model, data, cfg, "inmerge", 0, velocity)
+    finally:
+        if pool._executor is not None:
+            pool._executor.shutdown()
+    names = {span.name for span in tracer.spans}
+    for name in (
+        "training.train_epoch",
+        "merging.sweep",
+        "layers.conv2d.bwd",
+        "layers.relu.bwd",
+        "layers.maxpool2d.bwd",
+        "tensor.ensure_finite",
+        "training.sgd_step",
+    ):
+        assert name in names, name
+
+
+def test_cli_worker_count_is_readable(monkeypatch):
+    """``bench/run.py`` reports ``inmerge.cli._worker_count()`` as cli.workers."""
+    monkeypatch.delenv("INMERGE_THREADS", raising=False)
+    workers = inmerge.cli._worker_count()
+    assert isinstance(workers, int) and workers >= 1

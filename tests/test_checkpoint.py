@@ -211,6 +211,40 @@ class TestCorruptionDetection:
         with pytest.raises(HeaderLayoutError, match="shape"):
             load(path)
 
+    @staticmethod
+    def _rewrite_trailer(path, mutate):
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack_from("<Q", blob, 5)
+        end = 13 + hlen + json.loads(blob[13 : 13 + hlen])["payload_bytes"]
+        trailer = json.loads(blob[end:])
+        mutate(trailer)
+        path.write_bytes(blob[:end] + json.dumps(trailer, sort_keys=True).encode())
+
+    def test_unknown_format_refused(self, tmp_path):
+        _, _, path = write_checkpoint(tmp_path)
+        self._rewrite_header(path, lambda header: header.update(format=99))
+        with pytest.raises(CorruptHeaderError, match="format 99"):
+            load(path)
+
+    def test_unknown_rng_scheme_refused(self, tmp_path):
+        _, _, path = write_checkpoint(tmp_path)
+        self._rewrite_trailer(path, lambda trailer: trailer["rng"].update(scheme="global-stream"))
+        with pytest.raises(CorruptHeaderError, match="RNG position"):
+            load(path)
+
+    def test_rng_position_must_follow_epochs_done(self, tmp_path):
+        _, _, path = write_checkpoint(tmp_path)
+        self._rewrite_trailer(path, lambda trailer: trailer["rng"].update(next_epoch=2))
+        with pytest.raises(CorruptHeaderError, match="RNG position"):
+            load(path)
+
+    def test_unknown_format_exits_3(self, tmp_path, capsys):
+        _, _, path = write_checkpoint(tmp_path)
+        self._rewrite_header(path, lambda header: header.update(format=2))
+        code = main(["eval", "--checkpoint", str(path), "--data", str(tmp_path / "nodata")])
+        assert code == 3
+        assert "format 2" in capsys.readouterr().err
+
     def test_garbled_header_text(self, tmp_path):
         _, _, path = write_checkpoint(tmp_path)
         blob = bytearray(path.read_bytes())
