@@ -272,6 +272,9 @@ def cmd_ablate(args) -> int:
         raise ConfigError(f"--seeds: {exc}") from None
     if not seeds or any(s < 0 for s in seeds):
         raise ConfigError("--seeds must list non-negative integers")
+    for flag, items in (("--values", values), ("--seeds", seeds)):
+        if len(set(items)) < len(items):
+            raise ConfigError(f"{flag} lists a value more than once")
 
     rc = load_run_config(args.config)
     handle = load_dataset(rc.data.dir)

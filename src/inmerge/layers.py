@@ -51,6 +51,10 @@ Speed and memory:
   maximum over the ``window**2`` strided views of its input and routes
   backward through the same views; overlapping pools take the argmax over
   a sliding-window view. Both give the same values and argmaxes.
+- An activation lives only until backward has used it (``model``): relu's
+  cache is its output, which is also the next layer's input, so the conv
+  output before it is freed at once; ``Model.backward`` drops each cache
+  after its layer, and a training step frees its batch before the next.
 """
 
 from __future__ import annotations

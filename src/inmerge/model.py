@@ -192,6 +192,10 @@ class LayerKind:
     prefix    parameter-name prefix (``conv`` -> ``conv0.weight``); None: no
               parameters. Weights are He-uniform over ``weight_shape``'s
               trailing extents as fan-in; biases start at zero.
+
+    A cache holds only what backward reads. relu's is its output (the
+    next layer's input, so no extra array), since ``relu(x) > 0`` exactly
+    where ``x > 0``; the input it came from is freed after forward.
     """
 
     shape: Callable[[LayerSpec, tuple[int, ...]], tuple[int, ...]]
@@ -217,8 +221,8 @@ KINDS: dict[str, LayerKind] = {
     ),
     "relu": LayerKind(
         shape=lambda s, shape: shape,
-        forward=lambda s, x, w, b, want_cache: (relu(x), x),
-        backward=lambda s, g, x, w: relu_backward(g, x),
+        forward=lambda s, x, w, b, want_cache: ((y := relu(x)), y),
+        backward=lambda s, g, y, w: relu_backward(g, y),
     ),
     "maxpool2d": LayerKind(
         check=lambda s: pool_spec(s.window, s.stride),
@@ -327,7 +331,11 @@ class Model:
     def backward(self, grad_logits: np.ndarray, caches: list) -> dict[str, np.ndarray]:
         """Parameter gradients (same keys as ``params``) for a forward pass
         recorded with ``want_caches=True``. The first layer's input gradient
-        is not computed: nothing uses the gradient of the input images."""
+        is not computed: nothing uses the gradient of the input images.
+
+        Consumes ``caches``: each entry is set to None once its layer's
+        backward has run, so each activation is freed as soon as it has
+        been used. Do not reuse the list."""
         grads: dict[str, np.ndarray] = {}
         g = grad_logits
         for pos in range(len(self.layers) - 1, -1, -1):
@@ -339,6 +347,7 @@ class Model:
                 g, grads[f"{base}.weight"], grads[f"{base}.bias"] = KINDS[spec.kind].backward(
                     spec, g, caches[pos], w, pos > 0
                 )
+            caches[pos] = None
         return grads
 
 

@@ -217,6 +217,8 @@ def train_epoch(
             raise NumericError(f"non-finite loss at epoch {epoch} batch {b_idx}")
         grads = model.backward(grad, caches)
         sgd_step(model.params, grads, velocity, lr, cfg.momentum, cfg.weight_decay)
+        # free this batch's arrays before the next batch's forward pass
+        del x, xb, logits, caches, grad, grads
         loss_sum += loss * len(ids)
         count += len(ids)
         iterations += 1

@@ -368,6 +368,22 @@ class TestAblateCommand:
         )
         assert echo["train"]["merge"]["invert_gate"] is True
 
+    @pytest.mark.parametrize("flag, values, seeds", [
+        ("--values", "0.5,0.50", "0"),
+        ("--values", "0.5,0.3,0.5", "0"),
+        ("--seeds", "0.5", "0,0"),
+        ("--seeds", "0.5", "1,2, 1"),
+    ])
+    def test_duplicate_cells_exit_2(self, dataset_dir, tmp_path, capsys, flag, values, seeds):
+        cfg = write_config(tmp_path, run_config(dataset_dir, tmp_path / "unused"))
+        out = tmp_path / "dup"
+        assert main([
+            "ablate", "--config", str(cfg), "--axis", "p",
+            "--values", values, "--seeds", seeds, "--out", str(out),
+        ]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
 
 def test_console_entry_point_smoke(dataset_dir, tmp_path):
     cfg = write_config(tmp_path, run_config(dataset_dir, tmp_path / "sub"))

@@ -8,6 +8,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from helpers import GRADCHECK_KINDS, REL_TOL, gradcheck_case, maxpool_loop_oracle
 
 import inmerge.layers
@@ -127,6 +130,21 @@ class TestRelu:
     def test_backward_mask_and_zero_rule(self):
         g = relu_backward(f32([5, 5, 5]), f32([-1, 0, 2]))
         assert np.array_equal(g, f32([0, 0, 5]))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_backward_through_output_equals_through_input(self, data):
+        """The model caches relu's output instead of its input: the backward
+        mask must be the same bytes for ±0, subnormals, ±inf and NaN."""
+        special = st.sampled_from(
+            [0.0, -0.0, 1e-45, -1e-45, 1e-39, -1e-39, math.inf, -math.inf, math.nan]
+        )
+        x = data.draw(arrays(
+            np.float32, array_shapes(min_dims=1, max_dims=4, max_side=5),
+            elements=special | st.floats(width=32),
+        ))
+        g = data.draw(arrays(np.float32, x.shape, elements=st.floats(-1e3, 1e3, width=32)))
+        assert relu_backward(g, relu(x)).tobytes() == relu_backward(g, x).tobytes()
 
 
 class TestMaxPool:
