@@ -26,7 +26,6 @@ from .data import (
     DatasetHandle,
     Split,
     apply_flip,
-    augment_flip,
     batch_iter,
     load_dataset,
     normalize,
@@ -68,7 +67,6 @@ from .merging import (
     inmerge_sweep,
     merge_pair,
     similarity_stats,
-    vectorize_kernel,
 )
 from .metrics import MetricBundle, accuracy, auroc, mean_auroc, roc_points
 from .model import ArchConfig, Model, build_model, conv_layers

@@ -278,6 +278,9 @@ def cmd_ablate(args) -> int:
 
     rc = load_run_config(args.config)
     handle = load_dataset(rc.data.dir)
+    for name, split in handle.splits.items():  # each cell trains on train and val, then tests
+        if len(split) == 0:
+            raise DataError(f"{name} split is empty")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     base_merge = rc.train.merge if rc.train.merge is not None else MergeConfig()

@@ -97,10 +97,3 @@ def _object(cls, value, path: str, defaults: dict):
         except ConfigError as exc:
             raise _Mismatch(path, str(exc)) from None
     return obj
-
-
-def arch_from_dict(d):
-    """A validated ``ArchConfig`` from a parsed JSON object."""
-    from .model import ArchConfig  # local import: model imports data, which imports this module
-
-    return decode(ArchConfig, d, ConfigError, "arch")

@@ -333,14 +333,6 @@ def apply_flip(batch: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def augment_flip(batch: np.ndarray, prob: float, rng: np.random.Generator) -> np.ndarray:
-    """Mirror each sample along width independently with ``prob``."""
-    if batch.ndim != 4:
-        raise ShapeError(f"augment_flip: need a rank-4 batch, got rank {batch.ndim}")
-    mask = rng.random(batch.shape[0]) < prob
-    return apply_flip(batch, mask)
-
-
 def normalize(batch: np.ndarray, mean, std) -> np.ndarray:
     """(pixel/255 - mean) / std per channel, as float32."""
     if batch.ndim != 4:

@@ -7,10 +7,11 @@ is one entry of the kind table in ``model``. The output-extent rule and
 the stable sigmoid / log-softmax used by the loss heads live in
 ``tensor``.
 
-All functions are pure: they allocate fresh outputs and never mutate
-their inputs, so identical inputs give bit-identical outputs. Backward
-functions return exact analytic gradients of the forward contracts;
-tests cross-check them against central finite differences.
+Inputs are never mutated, and an output never shares memory with an
+array that is still alive, so identical inputs give bit-identical
+outputs. Backward functions return exact analytic gradients of the
+forward contracts; tests cross-check them against central finite
+differences.
 
 Conventions:
 
@@ -27,30 +28,25 @@ float32, while gradient-checking tests may pass float64.
 
 Speed and memory:
 
-- Batch shards use every core. conv2d, relu and the ``window == stride``
-  max-pool run their batch as ``SHARDS`` shards (conv2d: groups of its
-  chunks) on ``ShardPool``: min(``SHARDS``, usable CPUs) worker threads,
-  started on first use. Shard boundaries depend on shapes and ``SHARDS``
-  only, and every worker and calling thread is set to one BLAS thread by
-  ``openblas_set_num_threads_local`` (numpy's pthreads OpenBLAS applies
-  it process-wide), so results are byte-identical for any worker count.
-  Without that symbol, on one CPU or for one sample, shards run on the
-  calling thread. Checks (``ensure_finite``) run on the calling thread,
-  which also allocates the large buffers the workers fill: memory a
-  worker frees stays in its own malloc arena.
+- Batch shards use every core. conv2d, relu and max-pool run their batch
+  as ``SHARDS`` shards (conv2d: groups of its chunks) on ``ShardPool``,
+  whose threads, like the calling one, use one BLAS thread each, so
+  results are byte-identical for any worker count. Checks
+  (``ensure_finite``) run on the calling thread.
+- Every large array the layers write comes from ``Arena``: outputs,
+  input gradients, argmaxes, masks and scratch. Its memory is reused as
+  soon as no array viewing it is alive (memory sharing by liveness, as in
+  Chen et al. 2016), so a warm training step takes no new pages from the
+  system. A shard takes its scratch once per call, for all its chunks.
 - conv2d lowers to GEMMs over an im2col patch matrix (Chellapilla et al.
-  2006). A batch whose patch matrix fits ``PATCH_KEEP_LIMIT`` keeps it
-  whole, gathered one shard at a time, and forward hands it on to
-  backward. A larger batch runs in chunks of ``max(1, PATCH_BUDGET //
-  (C_in*kh*kw*h_out*w_out*itemsize))`` samples, so each chunk's patches
-  are consumed while still in cache; it keeps only its input, and
-  backward gathers the patches again, chunk by chunk. A kept batch's
-  weight and bias gradients are one GEMM and one sum over the batch on
-  the calling thread; a chunked one's are summed chunk by chunk.
-- maxpool2d with ``window == stride`` (non-overlapping windows) takes the
-  maximum over the ``window**2`` strided views of its input and routes
-  backward through the same views; overlapping pools take the argmax over
-  a sliding-window view. Both give the same values and argmaxes.
+  2006). A batch whose patch matrix fits ``PATCH_KEEP_LIMIT`` keeps it,
+  and forward hands it on to backward, whose weight GEMM is split by
+  columns across the shards. A larger batch runs in chunks of
+  ``PATCH_BUDGET`` bytes of patches, consumed while still in cache; it
+  keeps only its input, backward gathers the patches again, and its
+  weight and bias gradients are summed chunk by chunk.
+- maxpool2d takes the running maximum over the ``window**2`` strided
+  views of its input; backward routes through the same views.
 - An activation lives only until backward has used it (``model``): relu's
   cache is its output, which is also the next layer's input, so the conv
   output before it is freed at once; ``Model.backward`` drops each cache
@@ -59,10 +55,16 @@ Speed and memory:
 
 from __future__ import annotations
 
+import bisect
+import collections
+import contextlib
 import contextvars
 import ctypes
+import math
+import mmap
 import os
 import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,6 +212,94 @@ _POOL = ShardPool()
 
 
 # ---------------------------------------------------------------------------
+# buffer arena
+
+_TRACK, _UNTRACK = ctypes.pythonapi.PyTraceMalloc_Track, ctypes.pythonapi.PyTraceMalloc_Untrack
+_TRACK.argtypes = [ctypes.c_uint, ctypes.c_size_t, ctypes.c_size_t]
+_UNTRACK.argtypes = _TRACK.argtypes[:2]
+_TRACK.restype = _UNTRACK.restype = ctypes.c_int
+
+
+class Arena:
+    """Memory for the arrays the layer math writes, reused across calls.
+
+    Each array views a range of a block through a holder, an array on a
+    memoryview of the block, which numpy makes the ``base`` of every array
+    derived from it; when the holder dies, a weakref callback frees its
+    range. Ranges are taken first-fit and merge with free neighbours, as in
+    malloc. A request that fits nowhere gets an overflow block, returned to
+    the system once empty. At a quiet point (no range in use) after an
+    overflow, the main block is replaced by one twice the size that would
+    have held it, so a repeating step soon runs in the main block alone.
+    """
+
+    ALIGN = 64  # bytes; blocks start on a page, every range on a cache line
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._main, self._overflow = None, []  # blocks: (memory, free [[offset, size], ...])
+        self._overflow_bytes = self._overflow_peak = 0
+        self._live: dict = {}  # id(weakref to a holder) -> (weakref, block, offset, size)
+        self._freed = collections.deque()  # weakrefs of dead holders
+
+    def empty(self, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """An uninitialised C-order array, like ``np.empty``."""
+        dtype, count = np.dtype(dtype), math.prod(shape)
+        size = max(1, -(-count * dtype.itemsize // self.ALIGN)) * self.ALIGN
+        with self._lock:
+            while self._freed:
+                self._give_back(*self._live.pop(id(self._freed.popleft()))[1:])
+            if self._overflow_peak and not self._live:
+                main = len(self._main[0]) if self._main else 0
+                self._main = self._new_block(2 * (main + self._overflow_peak))
+                self._overflow_peak = 0
+            block, offset = self._take(size)
+            holder = np.frombuffer(block[0], dtype, count, offset)
+            ref = weakref.ref(holder, self._freed.append)
+            self._live[id(ref)] = (ref, block, offset, size)
+        return holder.reshape(shape)
+
+    @staticmethod
+    def _new_block(size: int) -> tuple:
+        # its own mapping, so it goes back to the system when dropped
+        memory = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+        with contextlib.suppress(OSError):  # huge pages, as numpy asks for its large arrays
+            memory.madvise(mmap.MADV_HUGEPAGE)
+        # tracemalloc counts it as numpy counts its own data buffers
+        address = np.frombuffer(memory, np.uint8, 1).ctypes.data
+        _TRACK(np.lib.tracemalloc_domain, address, size)
+        weakref.finalize(memory, _UNTRACK, np.lib.tracemalloc_domain, address)
+        return memory, [[0, size]]
+
+    def _take(self, size: int) -> tuple:
+        for block in ([self._main] if self._main else []) + self._overflow:
+            for i, (offset, length) in enumerate(block[1]):
+                if length >= size:
+                    block[1][i : i + 1] = [[offset + size, length - size]] if length > size else []
+                    return block, offset
+        self._overflow.append(self._new_block(size))
+        self._overflow_bytes += size
+        self._overflow_peak = max(self._overflow_peak, self._overflow_bytes)
+        return self._take(size)
+
+    def _give_back(self, block: tuple, offset: int, size: int) -> None:
+        free = block[1]
+        i = bisect.bisect(free, [offset])
+        if i < len(free) and free[i][0] == offset + size:  # merge the next range
+            size += free.pop(i)[1]
+        if i > 0 and sum(free[i - 1]) == offset:  # and the previous one
+            free[i - 1][1] += size
+        else:
+            free.insert(i, [offset, size])
+        if block is not self._main and free[0][1] == len(block[0]):
+            self._overflow.remove(block)
+            self._overflow_bytes -= len(block[0])
+
+
+_ARENA = Arena()
+
+
+# ---------------------------------------------------------------------------
 # conv2d
 
 # Both limits were sized on a 2-core Xeon (4 MiB L2 per core, shared L3)
@@ -242,15 +332,6 @@ def _im2col(
     return out.reshape(c * kh * kw, n * h_out * w_out)
 
 
-def _padable(x: np.ndarray, padding: int) -> np.ndarray:
-    if padding == 0:
-        return x
-    n, c, h, w = x.shape
-    out = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-    out[:, :, padding : padding + h, padding : padding + w] = x
-    return out
-
-
 def _conv_geometry(x, weight, bias, stride, padding):
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d: need 4-d input/weight, got {x.ndim}-d/{weight.ndim}-d")
@@ -279,13 +360,29 @@ def _conv_chunks(
     return step, [chunks[lo:hi] for lo, hi in _shards(len(chunks))], kept
 
 
-def _patch_buffers(shards, whole, shape, dtype) -> list[np.ndarray]:
-    """One patch buffer per shard, allocated on the calling thread (see the
-    module docstring): the shard's sample block of ``whole``, a kept
-    batch's (C, kh, kw, N, h_out, w_out) patches, or room for one chunk."""
-    if whole is not None:
-        return [whole[:, :, :, chunks[0][0] :] for chunks in shards]
-    return [np.empty(shape, dtype) for _ in shards]
+def _gatherer(x, weight, stride, padding, h_out, w_out, step, whole, first):
+    """``gather(lo, hi)``: the patch matrix of samples [lo, hi) of one shard,
+    in the shard's block of ``whole`` (a kept batch's (C, kh, kw, N, h_out,
+    w_out) patches, the shard's starting at sample ``first``) or in room for
+    one chunk. Padded input goes to room for ``step`` samples, whose border
+    is zeroed once."""
+    c_in, kh, kw = weight.shape[1:]
+    h, w = x.shape[2:]
+    if whole is None:
+        whole, first = _ARENA.empty((c_in, kh, kw, step, h_out, w_out), x.dtype), 0
+    whole = whole[:, :, :, first:]
+    if padding:
+        pad = _ARENA.empty((step, c_in, h + 2 * padding, w + 2 * padding), x.dtype)
+        pad.fill(0)
+
+    def gather(lo, hi):
+        xin = x[lo:hi]
+        if padding:
+            xin = pad[: hi - lo]
+            xin[:, :, padding : padding + h, padding : padding + w] = x[lo:hi]
+        return _im2col(xin, kh, kw, stride, h_out, w_out, whole[:, :, :, : hi - lo])
+
+    return gather
 
 
 def conv2d_forward(
@@ -313,22 +410,30 @@ def conv2d_forward(
     c_out, _, kh, kw = weight.shape
     w2 = weight.reshape(c_out, -1)
     step, shards, kept = _conv_chunks(x, weight, h_out, w_out)
-    out = np.empty((n, c_out, h_out, w_out), dtype=np.result_type(x, weight))
+    dt = np.result_type(x, weight)
+    out = _ARENA.empty((n, c_out, h_out, w_out), dt)
     cols = None
     if kept and _cols_out is not None:
-        cols = np.empty((c_in, kh, kw, n, h_out, w_out), dtype=x.dtype)
+        cols = _ARENA.empty((c_in, kh, kw, n, h_out, w_out), x.dtype)
         _cols_out.append(cols.reshape(c_in * kh * kw, n * h_out * w_out))
 
-    def run(chunks, buf):
+    def run(chunks, gather, gemm):
         for lo, hi in chunks:
-            block = buf[:, :, :, : hi - lo]
-            patches = _im2col(_padable(x[lo:hi], padding), kh, kw, stride, h_out, w_out, block)
-            chunk = w2 @ patches
+            patches = gather(lo, hi)
+            chunk = np.matmul(w2, patches, out=gemm[: c_out * patches.shape[1]].reshape(c_out, -1))
             chunk += bias[:, None]
             out[lo:hi] = chunk.reshape(c_out, -1, h_out, w_out).transpose(1, 0, 2, 3)
 
-    buffers = _patch_buffers(shards, cols, (c_in, kh, kw, step, h_out, w_out), x.dtype)
-    _POOL.map(run, list(zip(shards, buffers)))
+    # scratch is taken here, in shard order, so that every step lays out the arena alike
+    jobs = [
+        (
+            chunks,
+            _gatherer(x, weight, stride, padding, h_out, w_out, step, cols, chunks[0][0]),
+            _ARENA.empty((c_out * step * h_out * w_out,), dt),
+        )
+        for chunks in shards
+    ]
+    _POOL.map(run, jobs)
     ensure_finite("conv2d_forward", out)
     return out
 
@@ -363,50 +468,57 @@ def conv2d_backward(
     w2 = weight.reshape(c_out, -1)
     step, shards, kept = _conv_chunks(x, weight, h_out, w_out)
     hw, dt, span_h, span_w = h_out * w_out, grad_out.dtype, stride * h_out, stride * w_out
-    grad_x = np.empty(x.shape, dtype=dt) if need_input_grad else None
+    grad_x = _ARENA.empty(x.shape, dt) if need_input_grad else None
     # A kept batch's shards fill whole-batch buffers of patches and of the
-    # transposed output gradient; its weight and bias gradients are then one
-    # GEMM and one sum, bit-identical to an unsharded pass.
-    g_kept = np.empty((c_out, n, h_out, w_out), dt) if kept else None
-    gathered = np.empty((c_in, kh, kw, n, h_out, w_out), x.dtype) if kept and cols is None else None
+    # transposed output gradient; its weight and bias gradients are then
+    # computed over the whole batch, bit-identical to an unsharded pass.
+    g_kept = _ARENA.empty((c_out, n, h_out, w_out), dt) if kept else None
+    whole = None
+    if kept and cols is None:
+        whole = _ARENA.empty((c_in, kh, kw, n, h_out, w_out), x.dtype)
 
-    def run(chunks, buf, dwin):
+    def run(chunks, gather, g_buf, dwin, dpad):
         parts = []
         for lo, hi in chunks:
-            if buf is None:
-                patches = cols[:, lo * hw : hi * hw]
+            patches = gather(lo, hi) if gather else cols[:, lo * hw : hi * hw]
+            if kept:
+                g = g_kept[:, lo:hi]
             else:
-                block = buf[:, :, :, : hi - lo]
-                patches = _im2col(_padable(x[lo:hi], padding), kh, kw, stride, h_out, w_out, block)
-            if g_kept is None:
-                g = np.ascontiguousarray(grad_out[lo:hi].transpose(1, 0, 2, 3)).reshape(c_out, -1)
+                g = g_buf[: c_out * (hi - lo) * hw].reshape(c_out, hi - lo, h_out, w_out)
+            np.copyto(g, grad_out[lo:hi].transpose(1, 0, 2, 3))
+            g = g.reshape(c_out, -1)
+            if not kept:
                 parts.append((g @ patches.T, g.sum(axis=1)))
-            else:
-                np.copyto(g_kept[:, lo:hi], grad_out[lo:hi].transpose(1, 0, 2, 3))
-                g = g_kept[:, lo:hi].reshape(c_out, -1)
-            if dwin is None:
+            if not need_input_grad:
                 continue
             win = np.matmul(w2.T, g, out=dwin[:, : g.shape[1]])
             win = win.reshape(c_in, kh, kw, hi - lo, h_out, w_out)
             # scatter in channel-major layout (matches dwin), transpose on the way out
-            dpad = np.zeros((c_in, hi - lo, h + 2 * padding, w + 2 * padding), dtype=dt)
+            d = dpad[:, : hi - lo]
+            d.fill(0)
             for i in range(kh):
                 for j in range(kw):
-                    dpad[:, :, i : i + span_h : stride, j : j + span_w : stride] += win[:, i, j]
-            grad_x[lo:hi] = dpad[:, :, padding : padding + h, padding : padding + w].transpose(
-                1, 0, 2, 3
-            )
+                    d[:, :, i : i + span_h : stride, j : j + span_w : stride] += win[:, i, j]
+            d = d[:, :, padding : padding + h, padding : padding + w]
+            grad_x[lo:hi] = d.transpose(1, 0, 2, 3)
         return parts
 
-    buffers = [None] * len(shards) if cols is not None else _patch_buffers(
-        shards, gathered, (c_in, kh, kw, step, h_out, w_out), x.dtype
-    )
-    dwins = [np.empty((c_in * kh * kw, step * hw), dt) if need_input_grad else None for _ in shards]
-    parts = _POOL.map(run, list(zip(shards, buffers, dwins)))
+    jobs = []
+    for chunks in shards:  # scratch taken in shard order, as in conv2d_forward
+        gather = cols is None and _gatherer(
+            x, weight, stride, padding, h_out, w_out, step, whole, chunks[0][0]
+        )
+        g_buf = None if kept else _ARENA.empty((c_out * step * hw,), dt)
+        dwin = dpad = None
+        if need_input_grad:
+            dwin = _ARENA.empty((c_in * kh * kw, step * hw), dt)
+            dpad = _ARENA.empty((c_in, step, h + 2 * padding, w + 2 * padding), dt)
+        jobs.append((chunks, gather, g_buf, dwin, dpad))
+    parts = _POOL.map(run, jobs)
     if kept:
         g = g_kept.reshape(c_out, -1)
-        patches = cols if cols is not None else gathered.reshape(c_in * kh * kw, -1)
-        parts = [[(g @ patches.T, g.sum(axis=1))]]
+        patches = cols if cols is not None else whole.reshape(c_in * kh * kw, -1)
+        parts = [[(_weight_gemm(g, patches), g.sum(axis=1))]]
     (grad_weight, grad_bias), *rest = [part for shard in parts for part in shard]
     for part_weight, part_bias in rest:
         grad_weight += part_weight
@@ -417,12 +529,24 @@ def conv2d_backward(
     return grad_x, grad_weight, grad_bias
 
 
+def _weight_gemm(g: np.ndarray, patches: np.ndarray) -> np.ndarray:
+    """``g @ patches.T``, a kept batch's weight gradient, its columns split
+    into ``_shards`` on the pool: each column is the same dot product, so
+    the bits are those of one GEMM. With under 16 output channels (tiny_cnn
+    conv0/conv1) one GEMM on one thread was faster."""
+    if g.shape[0] < 16:
+        return g @ patches.T
+    out = np.empty((g.shape[0], patches.shape[0]), np.result_type(g, patches))
+    _POOL.map(lambda lo, hi: np.matmul(g, patches[lo:hi].T, out=out[:, lo:hi]), _shards(len(out.T)))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # relu
 
 
 def relu(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
+    out = _ARENA.empty(x.shape, x.dtype)
     _POOL.map(lambda lo, hi: np.maximum(x[lo:hi], 0, out=out[lo:hi]), _shards(len(x)))
     return out
 
@@ -430,10 +554,12 @@ def relu(x: np.ndarray) -> np.ndarray:
 def relu_backward(grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:
     if grad_out.shape != x.shape:
         raise ShapeError(f"relu_backward: grad shape {grad_out.shape} != {x.shape}")
-    out = np.empty_like(grad_out)
-    _POOL.map(
-        lambda lo, hi: np.multiply(grad_out[lo:hi], x[lo:hi] > 0, out=out[lo:hi]), _shards(len(x))
-    )
+    out, mask = _ARENA.empty(x.shape, grad_out.dtype), _ARENA.empty(x.shape, np.bool_)
+
+    def run(lo, hi):
+        np.multiply(grad_out[lo:hi], np.greater(x[lo:hi], 0, out=mask[lo:hi]), out=out[lo:hi])
+
+    _POOL.map(run, _shards(len(x)))
     return out
 
 
@@ -451,47 +577,40 @@ class PoolCache:
     stride: int
 
 
-def _tiles(a: np.ndarray, k: int) -> list[np.ndarray]:
-    """The k*k strided views a[..., i::k, j::k] of a non-overlapping k/k
-    pool, in row-major window order; view (i, j) holds window position
-    i*k + j of every window."""
-    return [a[:, :, i::k, j::k] for i in range(k) for j in range(k)]
+def _tiles(a: np.ndarray, k: int, s: int, h_out: int, w_out: int) -> list[np.ndarray]:
+    """The k*k strided views of a k/s pool's input, in row-major window
+    order; view (i, j) holds window position i*k + j of every window."""
+    rows, cols = s * (h_out - 1) + 1, s * (w_out - 1) + 1
+    return [a[:, :, i : i + rows : s, j : j + cols : s] for i in range(k) for j in range(k)]
 
 
 def maxpool2d(x: np.ndarray, window: int, stride: int) -> tuple[np.ndarray, PoolCache]:
     """Per-window maxima; ties go to the first row-major window position.
 
-    A non-overlapping pool (``window == stride``, so the windows tile the
-    input exactly) takes the running maximum over its ``window**2``
-    strided views, which reads the input once per view and never builds
-    the window axis; its argmaxes are the smallest integer dtype that
-    holds ``window**2 - 1``. Overlapping pools take the argmax over a
-    ``sliding_window_view``. Both give the same values and argmaxes.
+    The running maximum over the pool's ``window**2`` strided views reads
+    the input once per view and never builds the window axis. Argmaxes
+    are window positions, in the smallest integer dtype that holds
+    ``window**2 - 1``.
     """
     if x.ndim != 4:
         raise ShapeError(f"maxpool2d: need 4-d input, got {x.ndim}-d")
     h_out = out_extent(x.shape[2], window, stride, 0, "maxpool2d height")
     w_out = out_extent(x.shape[3], window, stride, 0, "maxpool2d width")
-    if window == stride:
-        shape = (x.shape[0], x.shape[1], h_out, w_out)
-        out = np.empty(shape, dtype=x.dtype)
-        argmax = np.zeros(shape, dtype=np.min_scalar_type(window * window - 1))
+    shape = (x.shape[0], x.shape[1], h_out, w_out)
+    out, mask = _ARENA.empty(shape, x.dtype), _ARENA.empty(shape, np.bool_)
+    argmax = _ARENA.empty(shape, np.min_scalar_type(window * window - 1))
 
-        def run(lo, hi):
-            tiles, top, arg = _tiles(x[lo:hi], window), out[lo:hi], argmax[lo:hi]
-            np.copyto(top, tiles[0])
-            for idx, tile in enumerate(tiles[1:], 1):
-                np.copyto(arg, idx, where=tile > top)
-                # propagates NaN, so ensure_finite still sees a NaN input
-                np.maximum(tile, top, out=top)
+    def run(lo, hi):
+        top, arg, hit = out[lo:hi], argmax[lo:hi], mask[lo:hi]
+        tiles = _tiles(x[lo:hi], window, stride, h_out, w_out)
+        arg.fill(0)
+        np.copyto(top, tiles[0])
+        for idx, tile in enumerate(tiles[1:], 1):
+            np.copyto(arg, idx, where=np.greater(tile, top, out=hit))
+            # propagates NaN, so ensure_finite still sees a NaN input
+            np.maximum(tile, top, out=top)
 
-        _POOL.map(run, _shards(len(x)))
-    else:
-        win = sliding_window_view(x, (window, window), axis=(2, 3))[:, :, ::stride, ::stride]
-        flat = win.reshape(*win.shape[:4], window * window)
-        argmax = flat.argmax(axis=-1)
-        out = np.take_along_axis(flat, argmax[..., None], axis=-1)[..., 0]
-        out = np.ascontiguousarray(out)
+    _POOL.map(run, _shards(len(x)))
     ensure_finite("maxpool2d", out)
     return out, PoolCache(argmax, x.shape, window, stride)
 
@@ -501,30 +620,36 @@ def maxpool2d_backward(grad_out: np.ndarray, cache: PoolCache) -> np.ndarray:
 
     A non-overlapping pool writes each strided view of the input gradient
     once, from the outputs whose argmax is that view's window position.
+    Overlapping windows sum their routed gradients with ``np.bincount``.
     """
     n, c, h, w = cache.input_shape
-    h_out, w_out = cache.argmax.shape[2:]
+    k, (h_out, w_out) = cache.window, cache.argmax.shape[2:]
     if grad_out.shape != cache.argmax.shape:
         raise ShapeError(
             f"maxpool2d_backward: grad shape {grad_out.shape} != {cache.argmax.shape}"
         )
-    if cache.window == cache.stride:
-        grad_x = np.zeros(cache.input_shape, dtype=grad_out.dtype)
+    grad_x = _ARENA.empty(cache.input_shape, grad_out.dtype)
+    if k == cache.stride:
+        routed = _ARENA.empty(grad_out.shape, grad_out.dtype)
+        mask = _ARENA.empty(grad_out.shape, np.bool_)
 
         def run(lo, hi):
             # + 0 turns -0.0 into +0.0, as the bincount sum below does
-            routed, arg = grad_out[lo:hi] + 0, cache.argmax[lo:hi]
-            for idx, tile in enumerate(_tiles(grad_x[lo:hi], cache.window)):
-                np.copyto(tile, routed, where=arg == idx)
+            r, arg, hit = routed[lo:hi], cache.argmax[lo:hi], mask[lo:hi]
+            np.add(grad_out[lo:hi], 0, out=r)
+            grad_x[lo:hi].fill(0)
+            for idx, tile in enumerate(_tiles(grad_x[lo:hi], k, k, h_out, w_out)):
+                np.copyto(tile, r, where=np.equal(arg, idx, out=hit))
 
         _POOL.map(run, _shards(n))
         return grad_x
-    iy = np.arange(h_out)[:, None] * cache.stride + cache.argmax // cache.window
-    ix = np.arange(w_out)[None, :] * cache.stride + cache.argmax % cache.window
+    iy = np.arange(h_out)[:, None] * cache.stride + cache.argmax // k
+    ix = np.arange(w_out)[None, :] * cache.stride + cache.argmax % k
     plane = np.arange(n * c).reshape(n, c, 1, 1)
     flat_idx = (plane * (h * w) + iy * w + ix).ravel()
-    grad_x = np.bincount(flat_idx, weights=grad_out.ravel(), minlength=n * c * h * w)
-    return grad_x.reshape(n, c, h, w).astype(grad_out.dtype)
+    summed = np.bincount(flat_idx, weights=grad_out.ravel(), minlength=n * c * h * w)
+    np.copyto(grad_x, summed.reshape(n, c, h, w))
+    return grad_x
 
 
 # ---------------------------------------------------------------------------

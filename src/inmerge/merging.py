@@ -119,13 +119,6 @@ class MergeReport:
         }
 
 
-def vectorize_kernel(kernel: np.ndarray) -> np.ndarray:
-    """Row-major flattening of a kernel; a view when possible."""
-    if kernel.size == 0:
-        raise ShapeError("vectorize_kernel: empty kernel")
-    return np.ravel(kernel)
-
-
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """dot(a, b) / (|a| |b|), computed in float64, clamped to [-1, 1].
 

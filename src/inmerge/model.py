@@ -282,23 +282,6 @@ class Model:
                 names.extend((f"{base}.weight", f"{base}.bias"))
         return names
 
-    def get_param(self, name: str) -> np.ndarray:
-        if name not in self.params:
-            raise ConfigError(f"unknown parameter {name!r}")
-        return self.params[name]
-
-    def set_param(self, name: str, value: np.ndarray) -> None:
-        current = self.get_param(name)
-        value = np.asarray(value, dtype=current.dtype)
-        if value.shape != current.shape:
-            raise ShapeError(
-                f"set_param({name!r}): shape {value.shape} != {current.shape}"
-            )
-        self.params[name] = np.ascontiguousarray(value)
-
-    def num_params(self) -> int:
-        return sum(p.size for p in self.params.values())
-
     def clone(self) -> "Model":
         return Model(
             arch=self.arch,

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -314,6 +315,21 @@ class TestAblateCommand:
         for value in ("0.0", "0.3"):
             for seed in ("11", "12"):
                 assert (out / f"p_{value}" / f"seed_{seed}" / "final.ckpt").is_file()
+
+    @pytest.mark.parametrize("empty", ["train", "val", "test"])
+    def test_empty_split_exits_3_before_any_cell(self, tmp_path, capsys, empty):
+        handle = synth_make("striped_textures", 20, 2, 1, 28, 28, seed=21)
+        split = handle.splits[empty]
+        handle.splits[empty] = replace(split, images=split.images[:0], labels=split.labels[:0])
+        save_dataset(handle, tmp_path / "data")
+        cfg = write_config(tmp_path, run_config(tmp_path / "data", tmp_path / "unused"))
+        out = tmp_path / "grid"
+        assert main([
+            "ablate", "--config", str(cfg), "--axis", "p",
+            "--values", "0.0", "--seeds", "0", "--out", str(out),
+        ]) == 3
+        assert f"{empty} split is empty" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_p_zero_cell_equals_baseline_bitwise(self, dataset_dir, tmp_path, capsys):
         cfg = write_config(tmp_path, run_config(dataset_dir, tmp_path / "unused", seed=0))

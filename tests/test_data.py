@@ -12,7 +12,6 @@ from inmerge.data import (
     DatasetHandle,
     Split,
     apply_flip,
-    augment_flip,
     batch_iter,
     load_dataset,
     normalize,
@@ -168,26 +167,26 @@ class TestSynth:
 class TestAugmentation:
     def test_prob_zero_is_identity(self):
         batch = np.arange(2 * 1 * 2 * 3, dtype=np.uint8).reshape(2, 1, 2, 3)
-        out = augment_flip(batch, 0.0, np.random.default_rng(0))
+        out = apply_flip(batch, np.zeros(2, bool))
         assert np.array_equal(out, batch)
 
     def test_prob_one_is_an_involution(self):
         rng = np.random.default_rng(1)
         batch = rng.integers(0, 256, size=(4, 2, 5, 6), dtype=np.uint8)
-        once = augment_flip(batch, 1.0, np.random.default_rng(0))
-        twice = augment_flip(once, 1.0, np.random.default_rng(0))
+        once = apply_flip(batch, np.ones(4, bool))
+        twice = apply_flip(once, np.ones(4, bool))
         assert np.array_equal(twice, batch)
         assert not np.array_equal(once, batch)
 
     def test_asymmetric_pixel_pair(self):
         batch = np.array([[[[7, 9]]]], dtype=np.uint8)
-        out = augment_flip(batch, 1.0, np.random.default_rng(0))
+        out = apply_flip(batch, np.ones(1, bool))
         assert np.array_equal(out, np.array([[[[9, 7]]]], dtype=np.uint8))
 
     def test_input_never_mutated(self):
         batch = np.arange(8, dtype=np.uint8).reshape(1, 1, 2, 4)
         ref = batch.copy()
-        augment_flip(batch, 1.0, np.random.default_rng(0))
+        apply_flip(batch, np.ones(1, bool))
         assert np.array_equal(batch, ref)
 
     def test_per_sample_decision_independent_of_batch_composition(self):

@@ -21,7 +21,6 @@ from inmerge.merging import (
     inmerge_sweep,
     merge_pair,
     similarity_stats,
-    vectorize_kernel,
 )
 from inmerge.model import ArchConfig, build_model, conv_layers
 
@@ -49,24 +48,6 @@ def snapshot(model):
 
 def bit_equal(a, b):
     return set(a) == set(b) and all(np.array_equal(a[k], b[k]) for k in a)
-
-
-class TestVectorize:
-    def test_row_major(self):
-        k = np.array([[[1.0, 2.0], [3.0, 4.0]]], dtype=np.float32)
-        assert np.array_equal(vectorize_kernel(k), np.array([1, 2, 3, 4], np.float32))
-
-    def test_channel_order(self):
-        k = np.array([[[5.0]], [[6.0]]], dtype=np.float32)  # shape (2,1,1)
-        assert np.array_equal(vectorize_kernel(k), np.array([5, 6], np.float32))
-
-    def test_idempotent_on_flat(self):
-        v = np.array([1.0, 2.0, 3.0], np.float32)
-        assert np.array_equal(vectorize_kernel(v), v)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ShapeError):
-            vectorize_kernel(np.zeros((0,), np.float32))
 
 
 class TestCosine:
