@@ -220,26 +220,34 @@ _UNTRACK.argtypes = _TRACK.argtypes[:2]
 _TRACK.restype = _UNTRACK.restype = ctypes.c_int
 
 
+def _mapping(size: int) -> mmap.mmap:
+    """Anonymous memory of its own, returned to the system when dropped."""
+    memory = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+    with contextlib.suppress(OSError):  # huge pages, as numpy asks for its large arrays
+        memory.madvise(mmap.MADV_HUGEPAGE)
+    return memory
+
+
 class Arena:
     """Memory for the arrays the layer math writes, reused across calls.
 
-    Each array views a range of a block through a holder, an array on a
-    memoryview of the block, which numpy makes the ``base`` of every array
-    derived from it; when the holder dies, a weakref callback frees its
-    range. Ranges are taken first-fit and merge with free neighbours, as in
-    malloc. A request that fits nowhere gets an overflow block, returned to
-    the system once empty. At a quiet point (no range in use) after an
-    overflow, the main block is replaced by one twice the size that would
-    have held it, so a repeating step soon runs in the main block alone.
+    Each array views a range of the main block through a holder, an array
+    on a memoryview of the block, which numpy makes the ``base`` of every
+    array derived from it; when the holder dies, a weakref callback frees
+    its range. Ranges are taken first-fit and merge with free neighbours,
+    as in malloc. A request that fits nowhere spills to a mapping of its
+    own, unmapped when its holder dies, and at the next quiet point (no
+    range in use) the main block grows by the most bytes spilled at once.
+    tracemalloc counts each live range as numpy counts its own arrays.
     """
 
     ALIGN = 64  # bytes; blocks start on a page, every range on a cache line
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._main, self._overflow = None, []  # blocks: (memory, free [[offset, size], ...])
-        self._overflow_bytes = self._overflow_peak = 0
-        self._live: dict = {}  # id(weakref to a holder) -> (weakref, block, offset, size)
+        self._main, self._free = b"", []  # no block yet; free ranges: [[offset, size], ...]
+        self._spilled = self._spill_peak = 0  # bytes spilled: held now, most held at once
+        self._live: dict = {}  # id(weakref to a holder) -> (weakref, offset or None, size)
         self._freed = collections.deque()  # weakrefs of dead holders
 
     def empty(self, shape: tuple[int, ...], dtype) -> np.ndarray:
@@ -249,41 +257,35 @@ class Arena:
         with self._lock:
             while self._freed:
                 self._give_back(*self._live.pop(id(self._freed.popleft()))[1:])
-            if self._overflow_peak and not self._live:
-                main = len(self._main[0]) if self._main else 0
-                self._main = self._new_block(2 * (main + self._overflow_peak))
-                self._overflow_peak = 0
-            block, offset = self._take(size)
-            holder = np.frombuffer(block[0], dtype, count, offset)
-            ref = weakref.ref(holder, self._freed.append)
-            self._live[id(ref)] = (ref, block, offset, size)
+            if self._spill_peak and not self._live:
+                self._main = _mapping(len(self._main) + self._spill_peak)
+                self._free, self._spill_peak = [[0, len(self._main)]], 0
+            for i, (offset, length) in enumerate(self._free):  # first fit
+                if length >= size:
+                    self._free[i : i + 1] = [[offset + size, length - size]] if length > size else []
+                    memory = self._main
+                    break
+            else:
+                memory, offset = _mapping(size), None
+                self._spilled += size
+                self._spill_peak = max(self._spill_peak, self._spilled)
+            holder = np.frombuffer(memory, dtype, count, offset or 0)
+            address = holder.ctypes.data
+            _TRACK(np.lib.tracemalloc_domain, address, size)
+            ref = weakref.ref(holder, lambda ref: self._dead(ref, address))
+            self._live[id(ref)] = (ref, offset, size)
         return holder.reshape(shape)
 
-    @staticmethod
-    def _new_block(size: int) -> tuple:
-        # its own mapping, so it goes back to the system when dropped
-        memory = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
-        with contextlib.suppress(OSError):  # huge pages, as numpy asks for its large arrays
-            memory.madvise(mmap.MADV_HUGEPAGE)
-        # tracemalloc counts it as numpy counts its own data buffers
-        address = np.frombuffer(memory, np.uint8, 1).ctypes.data
-        _TRACK(np.lib.tracemalloc_domain, address, size)
-        weakref.finalize(memory, _UNTRACK, np.lib.tracemalloc_domain, address)
-        return memory, [[0, size]]
+    def _dead(self, ref: weakref.ref, address: int) -> None:
+        # any thread, without the lock; the range is given back on the next call
+        _UNTRACK(np.lib.tracemalloc_domain, address)
+        self._freed.append(ref)
 
-    def _take(self, size: int) -> tuple:
-        for block in ([self._main] if self._main else []) + self._overflow:
-            for i, (offset, length) in enumerate(block[1]):
-                if length >= size:
-                    block[1][i : i + 1] = [[offset + size, length - size]] if length > size else []
-                    return block, offset
-        self._overflow.append(self._new_block(size))
-        self._overflow_bytes += size
-        self._overflow_peak = max(self._overflow_peak, self._overflow_bytes)
-        return self._take(size)
-
-    def _give_back(self, block: tuple, offset: int, size: int) -> None:
-        free = block[1]
+    def _give_back(self, offset: int | None, size: int) -> None:
+        if offset is None:
+            self._spilled -= size
+            return
+        free = self._free
         i = bisect.bisect(free, [offset])
         if i < len(free) and free[i][0] == offset + size:  # merge the next range
             size += free.pop(i)[1]
@@ -291,9 +293,6 @@ class Arena:
             free[i - 1][1] += size
         else:
             free.insert(i, [offset, size])
-        if block is not self._main and free[0][1] == len(block[0]):
-            self._overflow.remove(block)
-            self._overflow_bytes -= len(block[0])
 
 
 _ARENA = Arena()
