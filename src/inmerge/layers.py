@@ -40,11 +40,13 @@ Speed and memory:
   system. A shard takes its scratch once per call, for all its chunks.
 - conv2d lowers to GEMMs over an im2col patch matrix (Chellapilla et al.
   2006). A batch whose patch matrix fits ``PATCH_KEEP_LIMIT`` keeps it,
-  and forward hands it on to backward, whose weight GEMM is split by
-  columns across the shards. A larger batch runs in chunks of
+  and forward hands it on to backward, whose weight GEMM, patches @ g.T,
+  is split by rows across the shards. A larger batch runs in chunks of
   ``PATCH_BUDGET`` bytes of patches, consumed while still in cache; it
   keeps only its input, backward gathers the patches again, and its
-  weight and bias gradients are summed chunk by chunk.
+  weight and bias gradients are summed chunk by chunk. Backward's input
+  gradient is one GEMM on the zero-padded input grid and kh*kw contiguous
+  shifted adds (sub-chunks of half the patch budget), with a scatter's bits.
 - maxpool2d takes the running maximum over the ``window**2`` strided
   views of its input; backward routes through the same views.
 - An activation lives only until backward has used it (``model``): relu's
@@ -337,7 +339,7 @@ def _conv_geometry(x, weight, bias, stride, padding):
     c_out, c_in, kh, kw = weight.shape
     if x.shape[1] != c_in:
         raise ShapeError(f"conv2d: input has {x.shape[1]} channels, weight expects {c_in}")
-    if bias.shape != (c_out,):
+    if bias is not None and bias.shape != (c_out,):
         raise ShapeError(f"conv2d: bias shape {bias.shape} != ({c_out},)")
     h_out = out_extent(x.shape[2], kh, stride, padding, "conv2d height")
     w_out = out_extent(x.shape[3], kw, stride, padding, "conv2d width")
@@ -455,18 +457,28 @@ def conv2d_backward(
     so they may differ from a one-chunk sum in the last bits. Without
     ``need_input_grad`` the input gradient is skipped and None returned in
     its place; the parameter gradients stay bit-identical.
+
+    The input gradient is one GEMM over the zero-padded input grid (Hp, Wp)
+    with the output gradient at its stride-spaced positions, then kh*kw
+    contiguous adds shifted by i*Wp + j. Zero columns add exact zeros to
+    sums that start at +0.0 and so never hold -0.0, and each element gets
+    its terms in (i, j) order, as in a scatter of the valid columns alone.
     """
     c_out, c_in, kh, kw = weight.shape
-    bias_probe = np.zeros(c_out, dtype=weight.dtype)
-    h_out, w_out = _conv_geometry(x, weight, bias_probe, stride, padding)
+    h_out, w_out = _conv_geometry(x, weight, None, stride, padding)
     n, _, h, w = x.shape
     if grad_out.shape != (n, c_out, h_out, w_out):
         raise ShapeError(
             f"conv2d_backward: grad shape {grad_out.shape} != {(n, c_out, h_out, w_out)}"
         )
-    w2 = weight.reshape(c_out, -1)
+    w2, k = weight.reshape(c_out, -1), c_in * kh * kw
     step, shards, kept = _conv_chunks(x, weight, h_out, w_out)
     hw, dt, span_h, span_w = h_out * w_out, grad_out.dtype, stride * h_out, stride * w_out
+    hp, wp = h + 2 * padding, w + 2 * padding
+    slack = (kh - 1) * wp + kw - 1  # the furthest shift past a grid's end
+    grid_floats = (c_out + k + c_in) * hp * wp  # a sample's output gradient, GEMM output, sums
+    # samples per input-gradient sub-chunk, whose grids fit half the patch budget
+    sub = min(step, max(1, PATCH_BUDGET // 2 // (grid_floats * dt.itemsize)))
     grad_x = _ARENA.empty(x.shape, dt) if need_input_grad else None
     # A kept batch's shards fill whole-batch buffers of patches and of the
     # transposed output gradient; its weight and bias gradients are then
@@ -476,7 +488,7 @@ def conv2d_backward(
     if kept and cols is None:
         whole = _ARENA.empty((c_in, kh, kw, n, h_out, w_out), x.dtype)
 
-    def run(chunks, gather, g_buf, dwin, dpad):
+    def run(chunks, gather, g_buf, grid):
         parts = []
         for lo, hi in chunks:
             patches = gather(lo, hi) if gather else cols[:, lo * hw : hi * hw]
@@ -485,21 +497,26 @@ def conv2d_backward(
             else:
                 g = g_buf[: c_out * (hi - lo) * hw].reshape(c_out, hi - lo, h_out, w_out)
             np.copyto(g, grad_out[lo:hi].transpose(1, 0, 2, 3))
-            g = g.reshape(c_out, -1)
             if not kept:
-                parts.append((g @ patches.T, g.sum(axis=1)))
-            if not need_input_grad:
-                continue
-            win = np.matmul(w2.T, g, out=dwin[:, : g.shape[1]])
-            win = win.reshape(c_in, kh, kw, hi - lo, h_out, w_out)
-            # scatter in channel-major layout (matches dwin), transpose on the way out
-            d = dpad[:, : hi - lo]
-            d.fill(0)
-            for i in range(kh):
-                for j in range(kw):
-                    d[:, :, i : i + span_h : stride, j : j + span_w : stride] += win[:, i, j]
-            d = d[:, :, padding : padding + h, padding : padding + w]
-            grad_x[lo:hi] = d.transpose(1, 0, 2, 3)
+                g = g.reshape(c_out, -1)
+                parts.append(((patches @ g.T).T, g.sum(axis=1)))
+        if not need_input_grad:
+            return parts
+        g_grid, win, d = np.split(grid, [c_out * sub * hp * wp, (c_out + k) * sub * hp * wp])
+        g_grid.fill(0)  # only the stride-spaced positions are ever written
+        g_grid, win, d = g_grid.reshape(c_out, -1), win.reshape(k, -1), d.reshape(c_in, -1)
+        for lo in range(chunks[0][0], chunks[-1][1], sub):
+            hi = min(lo + sub, chunks[-1][1])
+            size = (hi - lo) * hp * wp
+            g = g_grid[:, :size].reshape(c_out, hi - lo, hp, wp)
+            np.copyto(g[..., :span_h:stride, :span_w:stride], grad_out[lo:hi].transpose(1, 0, 2, 3))
+            np.matmul(w2.T, g_grid[:, :size], out=win[:, :size])
+            d[:, : size + slack].fill(0)
+            for t in range(kh * kw):  # offset (i, j) = divmod(t, kw), in (i, j) order
+                off = t // kw * wp + t % kw
+                d[:, off : off + size] += win[t :: kh * kw, :size]
+            d_pad = d[:, :size].reshape(c_in, hi - lo, hp, wp)[:, :, padding:, padding:]
+            grad_x[lo:hi] = d_pad[:, :, :h, :w].transpose(1, 0, 2, 3)
         return parts
 
     jobs = []
@@ -508,11 +525,8 @@ def conv2d_backward(
             x, weight, stride, padding, h_out, w_out, step, whole, chunks[0][0]
         )
         g_buf = None if kept else _ARENA.empty((c_out * step * hw,), dt)
-        dwin = dpad = None
-        if need_input_grad:
-            dwin = _ARENA.empty((c_in * kh * kw, step * hw), dt)
-            dpad = _ARENA.empty((c_in, step, h + 2 * padding, w + 2 * padding), dt)
-        jobs.append((chunks, gather, g_buf, dwin, dpad))
+        grid = need_input_grad and _ARENA.empty((sub * grid_floats + c_in * slack,), dt)
+        jobs.append((chunks, gather, g_buf, grid))
     parts = _POOL.map(run, jobs)
     if kept:
         g = g_kept.reshape(c_out, -1)
@@ -529,15 +543,16 @@ def conv2d_backward(
 
 
 def _weight_gemm(g: np.ndarray, patches: np.ndarray) -> np.ndarray:
-    """``g @ patches.T``, a kept batch's weight gradient, its columns split
-    into ``_shards`` on the pool: each column is the same dot product, so
-    the bits are those of one GEMM. With under 16 output channels (tiny_cnn
-    conv0/conv1) one GEMM on one thread was faster."""
+    """``(patches @ g.T).T``, a kept batch's weight gradient, the rows of
+    ``patches`` split into ``_shards`` on the pool: each row of the product
+    is the same dot products, so the bits are those of one GEMM. With under
+    16 output channels (tiny_cnn conv0/conv1) one GEMM on one thread was
+    faster."""
     if g.shape[0] < 16:
-        return g @ patches.T
-    out = np.empty((g.shape[0], patches.shape[0]), np.result_type(g, patches))
-    _POOL.map(lambda lo, hi: np.matmul(g, patches[lo:hi].T, out=out[:, lo:hi]), _shards(len(out.T)))
-    return out
+        return (patches @ g.T).T
+    out = np.empty((len(patches), len(g)), np.result_type(g, patches))
+    _POOL.map(lambda lo, hi: np.matmul(patches[lo:hi], g.T, out=out[lo:hi]), _shards(len(out)))
+    return out.T
 
 
 # ---------------------------------------------------------------------------

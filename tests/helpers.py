@@ -8,6 +8,7 @@ production code paths they check.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from inmerge.layers import (
     conv2d_backward,
@@ -169,6 +170,46 @@ def maxpool_loop_oracle(x: np.ndarray, window: int, stride: int, grad_out: np.nd
                     dy, dx = divmod(best_pos, window)
                     grad_x[b, ch, oy * stride + dy, ox * stride + dx] += grad_out[b, ch, oy, ox]
     return out, argmax, grad_x.astype(grad_out.dtype)
+
+
+def conv_backward_oracle(grad_out, x, weight, stride, padding, chunks, blocks=None):
+    """conv2d's gradients (d_input, d_weight, d_bias), computed as the engine
+    first did, one (lo, hi) chunk of ``chunks`` at a time.
+
+    The input gradient scatters ``w2.T @ g`` into a zeroed padded buffer
+    with kh*kw strided adds in (i, j) order. The weight and bias gradients
+    are ``g @ patches.T`` and ``g.sum(axis=1)`` of each chunk, summed over
+    the chunks in order; a kept batch is the one chunk (0, n). ``blocks``,
+    when given, are (lo, hi) ranges of patch rows whose weight-gradient
+    columns are computed one block at a time, as a kept batch's split GEMM
+    does: a GEMM's bits may depend on where in it a row falls.
+    """
+    c_out, c_in, kh, kw = weight.shape
+    n, _, h, w = x.shape
+    h_out, w_out = grad_out.shape[2:]
+    w2 = weight.reshape(c_out, -1)
+    pads = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+    grad_x = np.empty(x.shape, grad_out.dtype)
+    grad_w = grad_b = None
+    for lo, hi in chunks:
+        g = np.ascontiguousarray(grad_out[lo:hi].transpose(1, 0, 2, 3)).reshape(c_out, -1)
+        win = sliding_window_view(np.pad(x[lo:hi], pads), (kh, kw), axis=(2, 3))
+        win = win[:, :, ::stride, ::stride].transpose(1, 4, 5, 0, 2, 3)
+        patches = np.ascontiguousarray(win).reshape(c_in * kh * kw, -1)
+        blocks_w = [g @ patches[r0:r1].T for r0, r1 in blocks or [(0, len(patches))]]
+        part_w, part_b = np.concatenate(blocks_w, axis=1), g.sum(axis=1)
+        if grad_w is None:
+            grad_w, grad_b = part_w, part_b
+        else:
+            grad_w, grad_b = grad_w + part_w, grad_b + part_b
+        dwin = (w2.T @ g).reshape(c_in, kh, kw, hi - lo, h_out, w_out)
+        d = np.zeros((c_in, hi - lo, h + 2 * padding, w + 2 * padding), grad_out.dtype)
+        span_h, span_w = stride * h_out, stride * w_out
+        for i in range(kh):
+            for j in range(kw):
+                d[:, :, i : i + span_h : stride, j : j + span_w : stride] += dwin[:, i, j]
+        grad_x[lo:hi] = d[:, :, padding : padding + h, padding : padding + w].transpose(1, 0, 2, 3)
+    return grad_x, grad_w.reshape(weight.shape), grad_b
 
 
 def auroc_pair_oracle(scores: np.ndarray, labels: np.ndarray) -> float:

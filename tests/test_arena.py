@@ -53,6 +53,31 @@ def test_warm_tiny_step_maps_no_memory(fresh_arena):
     assert fresh_arena._main is main and not fresh_arena._spill_peak
 
 
+# (arena.empty calls, pool.map calls) in one warm batch-128 step, counted
+# while conv2d_backward still scattered its input gradient chunk by chunk.
+# Each call costs tens of microseconds inside a step.
+STEP_CALLS = {"tiny_cnn": (101, 33), "small_vgg_d": (181, 41)}
+
+
+@pytest.mark.parametrize("arch", [TINY, VGG], ids=["tiny_cnn", "small_vgg_d"])
+def test_warm_step_makes_no_more_arena_or_pool_calls(fresh_arena, monkeypatch, arch):
+    step = _stepper(arch, 128)
+    step()
+    callers: dict = {"empty": [], "map": []}
+    for obj, name in ((fresh_arena, "empty"), (inmerge.layers._POOL, "map")):
+
+        def counting(*args, _name=name, _original=getattr(obj, name)):
+            callers[_name].append(threading.get_ident())
+            return _original(*args)
+
+        monkeypatch.setattr(obj, name, counting)
+    step()
+    most_empty, most_map = STEP_CALLS[arch.preset]
+    assert len(callers["empty"]) <= most_empty and len(callers["map"]) <= most_map, callers
+    # scratch taken inside a worker would let the arena's layout drift between steps
+    assert set(callers["empty"]) == {threading.get_ident()}
+
+
 def test_tracemalloc_sees_ranges_of_a_block_mapped_before_it_started():
     arena = Arena()
     arena.empty((MiB,), np.uint8)  # spills, then sizes the main block

@@ -8,10 +8,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
-from helpers import GRADCHECK_KINDS, REL_TOL, gradcheck_case, maxpool_loop_oracle
+from helpers import (
+    GRADCHECK_KINDS,
+    REL_TOL,
+    conv_backward_oracle,
+    gradcheck_case,
+    maxpool_loop_oracle,
+)
 
 import inmerge.layers
 from inmerge.errors import LabelDomainError, NumericError, ShapeError
@@ -30,6 +36,7 @@ from inmerge.layers import (
     sigmoid_bce_loss,
     softmax_ce_loss,
 )
+from inmerge.model import KINDS, ArchConfig, resolve_layers
 
 
 def f32(values):
@@ -232,6 +239,104 @@ class TestConvChunks:
         regathered = conv2d_backward(g, x, w, 2, 1)
         for a, r in zip(kept, regathered):
             assert a.tobytes() == r.tobytes()
+
+
+def _preset_convs(arch):
+    """(spec, per-sample input shape) of every conv of ``arch``."""
+    shape, convs = arch.input_shape, []
+    for spec in resolve_layers(arch):
+        if spec.kind == "conv2d":
+            convs.append((spec, shape))
+        shape = KINDS[spec.kind].shape(spec, shape)
+    return convs
+
+
+def _assert_backward_matches_oracle(x, w, g, stride, padding, keep_limit, budget):
+    """Every output of ``conv2d_backward`` under the given limits, with and
+    (when kept) without the forward's patches, equals the oracle's bytes."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inmerge.layers, "PATCH_KEEP_LIMIT", keep_limit)
+        mp.setattr(inmerge.layers, "PATCH_BUDGET", budget)
+        _, shards, kept = inmerge.layers._conv_chunks(x, w, *g.shape[2:])
+        chunks = [(0, len(x))] if kept else [chunk for shard in shards for chunk in shard]
+        # a kept batch with 16 or more output channels splits its weight GEMM
+        blocks = inmerge.layers._shards(w[0].size) if kept and len(w) >= 16 else None
+        expected = conv_backward_oracle(g, x, w, stride, padding, chunks, blocks)
+        runs = [conv2d_backward(g, x, w, stride, padding)]
+        if kept:
+            cols: list = []
+            conv2d_forward(x, w, np.zeros(len(w), w.dtype), stride, padding, _cols_out=cols)
+            runs.append(conv2d_backward(g, x, w, stride, padding, cols=cols[0]))
+    for run in runs:
+        for got, want in zip(run, expected):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (x.shape, w.shape, stride, padding, kept)
+
+
+class TestConvBackwardOracle:
+    """``conv2d_backward`` is byte-equal to the engine's first formulation,
+    ``conv_backward_oracle``, on its kept and chunked paths."""
+
+    @pytest.mark.parametrize("n", [128, 37])
+    @pytest.mark.parametrize(
+        "arch",
+        [
+            ArchConfig(input_shape=(1, 28, 28), num_classes=4, preset="tiny_cnn"),
+            ArchConfig(input_shape=(3, 64, 64), num_classes=4, preset="small_vgg_d"),
+        ],
+        ids=["tiny_cnn", "small_vgg_d"],
+    )
+    def test_every_preset_conv(self, arch, n):
+        """Each conv runs chunked, and kept at batch 37 or where its patches
+        fit ``PATCH_KEEP_LIMIT``; forcing the 38-302 MB patch matrices of
+        the larger batch-128 layers to be kept would only cost memory."""
+        rng = np.random.default_rng(n)
+        for spec, shape in _preset_convs(arch):
+            x = rng.normal(size=(n, *shape)).astype(np.float32)
+            w = rng.normal(size=(spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w))
+            w = w.astype(np.float32)
+            out = KINDS["conv2d"].shape(spec, shape)
+            # relu's backward passes exact +-0.0 gradients on to the conv below
+            g = rng.normal(size=(n, *out)).astype(np.float32) * (rng.random((n, *out)) < 0.6)
+            limits = [0]
+            if n == 37 or n * w[0].size * out[1] * out[2] * 4 <= inmerge.layers.PATCH_KEEP_LIMIT:
+                limits.append(1 << 40)
+            for limit in limits:
+                _assert_backward_matches_oracle(
+                    x, w, g, spec.stride, spec.padding, limit, inmerge.layers.PATCH_BUDGET
+                )
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_random_geometries(self, data):
+        n, c_in, c_out = (data.draw(st.integers(1, top)) for top in (8, 5, 40))
+        kh, kw = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        stride, padding = data.draw(st.integers(1, 2)), data.draw(st.integers(0, 2))
+
+        def extent(k):
+            """An input extent of at least 1 whose output extent is whole."""
+            e = (data.draw(st.integers(1, 6)) - 1) * stride + k - 2 * padding
+            while e < 1:
+                e += stride
+            return e
+
+        h, w = extent(kh), extent(kw)
+        h_out, w_out = (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
+        # numpy hands a product with a single row or column to BLAS's
+        # matrix-vector routines, whose bits depend on the vector's length
+        # and layout: there the oracle's own bits change with the chunking
+        assume(c_in * kh * kw >= 2 * inmerge.layers.SHARDS and c_out >= 2 and h_out * w_out >= 2)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = rng.normal(size=(n, c_in, h, w)).astype(np.float32)
+        wt = rng.normal(size=(c_out, c_in, kh, kw)).astype(np.float32)
+        g = rng.normal(size=(n, c_out, h_out, w_out)).astype(np.float32)
+        g *= rng.random(g.shape) < data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+        per_sample = c_in * kh * kw * h_out * w_out * 4
+        samples = data.draw(st.integers(1, n))  # per chunk when chunked
+        keep_limit = data.draw(st.sampled_from([0, 1 << 40]))
+        _assert_backward_matches_oracle(
+            x, wt, g, stride, padding, keep_limit, samples * per_sample + 1
+        )
 
 
 class TestPoolAgainstLoopOracle:
