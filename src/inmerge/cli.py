@@ -197,9 +197,8 @@ def _write_roc_csvs(model, handle: DatasetHandle, split_name: str, out_dir: Path
 def cmd_analyze(args) -> int:
     model, _, _ = checkpoint.load(args.checkpoint)
     stats = similarity_stats(model, args.layer)
-    print("i,j,sim")
-    for i, j, s in stats.pairs:
-        print(f"{i},{j},{s!r}")
+    pair_lines = ["i,j,sim", *(f"{i},{j},{s!r}" for i, j, s in stats.pairs)]
+    print("\n".join(pair_lines))
     hist_lines = [
         f"# layer {stats.ordinal}: {stats.count} pairs, "
         f"min {stats.minimum} max {stats.maximum} mean {stats.mean}",
@@ -212,9 +211,7 @@ def cmd_analyze(args) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         with open(out_dir / "pairs.csv", "w") as fh:
-            fh.write("i,j,sim\n")
-            for i, j, s in stats.pairs:
-                fh.write(f"{i},{j},{s!r}\n")
+            fh.write("\n".join(pair_lines) + "\n")
         with open(out_dir / "histogram.csv", "w") as fh:
             fh.write("bin_lo,bin_hi,count\n")
             for count, lo, hi in zip(stats.histogram, stats.bin_edges[:-1], stats.bin_edges[1:]):

@@ -13,6 +13,11 @@ outputs. Backward functions return exact analytic gradients of the
 forward contracts; tests cross-check them against central finite
 differences.
 
+Bit-identity across shard counts and chunk plans has one exception: a
+conv GEMM with a single patch row, output channel or output position
+runs as a BLAS matrix-vector product, whose bits follow the vector's
+length and so the chunk plan. No preset has such a layer.
+
 Conventions:
 
 - conv2d computes cross-correlation (no kernel flip), the prevailing
@@ -31,8 +36,9 @@ Speed and memory:
 - Batch shards use every core. conv2d, relu and max-pool run their batch
   as ``SHARDS`` shards (conv2d: groups of its chunks) on ``ShardPool``,
   whose threads, like the calling one, use one BLAS thread each, so
-  results are byte-identical for any worker count. Checks
-  (``ensure_finite``) run on the calling thread.
+  results are byte-identical for any worker count and, but for the
+  exception above, any ``SHARDS``. Checks (``ensure_finite``) run on the
+  calling thread.
 - Every large array the layers write comes from ``Arena``: outputs,
   input gradients, argmaxes, masks and scratch. Its memory is reused as
   soon as no array viewing it is alive (memory sharing by liveness, as in
@@ -40,8 +46,8 @@ Speed and memory:
   system. A shard takes its scratch once per call, for all its chunks.
 - conv2d lowers to GEMMs over an im2col patch matrix (Chellapilla et al.
   2006). A batch whose patch matrix fits ``PATCH_KEEP_LIMIT`` keeps it,
-  and forward hands it on to backward, whose weight GEMM, patches @ g.T,
-  is split by rows across the shards. A larger batch runs in chunks of
+  and forward hands it on to backward, whose weight gradient is one GEMM,
+  patches @ g.T, on the calling thread. A larger batch runs in chunks of
   ``PATCH_BUDGET`` bytes of patches, consumed while still in cache; it
   keeps only its input, backward gathers the patches again, and its
   weight and bias gradients are summed chunk by chunk. Backward's input
@@ -399,7 +405,8 @@ def conv2d_forward(
     The batch runs in the chunks of ``_conv_chunks``, one pool job per
     shard: each chunk's patches are gathered and multiplied while they are
     in cache. Chunking leaves every output element bit-identical, since
-    each is one dot product over the same patch column.
+    each is one dot product over the same patch column (but see the module
+    docstring for matrix-vector shapes).
 
     ``_cols_out``, when given, receives the patch matrix of a kept batch,
     so a following ``conv2d_backward`` can skip regathering it. A chunked
@@ -452,9 +459,11 @@ def conv2d_backward(
 
     ``cols`` may pass back the patch matrix captured by the forward call.
     Otherwise patches are gathered again from ``x`` in the forward's
-    chunks. Every gradient is bit-identical either way. A chunked batch's
-    weight and bias gradients are summed chunk by chunk, in batch order,
-    so they may differ from a one-chunk sum in the last bits. Without
+    chunks. Every gradient is bit-identical either way, and for any
+    ``SHARDS``, matrix-vector shapes aside (module docstring). A kept
+    batch's weight gradient is one GEMM over the whole batch. A chunked
+    batch's weight and bias gradients are summed chunk by chunk, in batch
+    order, so they may differ from a one-chunk sum in the last bits. Without
     ``need_input_grad`` the input gradient is skipped and None returned in
     its place; the parameter gradients stay bit-identical.
 
@@ -482,7 +491,7 @@ def conv2d_backward(
     grad_x = _ARENA.empty(x.shape, dt) if need_input_grad else None
     # A kept batch's shards fill whole-batch buffers of patches and of the
     # transposed output gradient; its weight and bias gradients are then
-    # computed over the whole batch, bit-identical to an unsharded pass.
+    # one GEMM and one sum over the whole batch, on the calling thread.
     g_kept = _ARENA.empty((c_out, n, h_out, w_out), dt) if kept else None
     whole = None
     if kept and cols is None:
@@ -531,7 +540,7 @@ def conv2d_backward(
     if kept:
         g = g_kept.reshape(c_out, -1)
         patches = cols if cols is not None else whole.reshape(c_in * kh * kw, -1)
-        parts = [[(_weight_gemm(g, patches), g.sum(axis=1))]]
+        parts = [[((patches @ g.T).T, g.sum(axis=1))]]
     (grad_weight, grad_bias), *rest = [part for shard in parts for part in shard]
     for part_weight, part_bias in rest:
         grad_weight += part_weight
@@ -540,19 +549,6 @@ def conv2d_backward(
     checked = (grad_weight, grad_bias) if grad_x is None else (grad_x, grad_weight, grad_bias)
     ensure_finite("conv2d_backward", *checked)
     return grad_x, grad_weight, grad_bias
-
-
-def _weight_gemm(g: np.ndarray, patches: np.ndarray) -> np.ndarray:
-    """``(patches @ g.T).T``, a kept batch's weight gradient, the rows of
-    ``patches`` split into ``_shards`` on the pool: each row of the product
-    is the same dot products, so the bits are those of one GEMM. With under
-    16 output channels (tiny_cnn conv0/conv1) one GEMM on one thread was
-    faster."""
-    if g.shape[0] < 16:
-        return (patches @ g.T).T
-    out = np.empty((len(patches), len(g)), np.result_type(g, patches))
-    _POOL.map(lambda lo, hi: np.matmul(patches[lo:hi], g.T, out=out[lo:hi]), _shards(len(out)))
-    return out.T
 
 
 # ---------------------------------------------------------------------------

@@ -77,23 +77,11 @@ class LayerSweepStats:
     singleton: bool = False
 
 
-@dataclass(frozen=True)
-class MergeEvent:
-    """One attempted merge, retained when a sweep records events."""
-
-    ordinal: int
-    target: int
-    partner: int
-    similarity: float
-    merged: bool
-
-
 @dataclass
 class MergeReport:
     """What one sweep did, layer by layer."""
 
     layers: list[LayerSweepStats] = field(default_factory=list)
-    events: list[MergeEvent] | None = None
 
     @property
     def kernels_considered(self) -> int:
@@ -108,7 +96,7 @@ class MergeReport:
         return sum(s.merges for s in self.layers)
 
     def to_record(self) -> dict:
-        """JSON-able summary (events excluded)."""
+        """JSON-able summary."""
         return {
             "layers": [asdict(s) for s in self.layers],
             "totals": {
@@ -165,12 +153,7 @@ def merge_pair(k_i: np.ndarray, k_j: np.ndarray, alpha: float) -> np.ndarray:
     return out.astype(k_i.dtype)
 
 
-def inmerge_sweep(
-    model: Model,
-    cfg: MergeConfig,
-    rng: np.random.Generator,
-    record_events: bool = False,
-) -> MergeReport:
+def inmerge_sweep(model: Model, cfg: MergeConfig, rng: np.random.Generator) -> MergeReport:
     """One merging pass over the model's conv layers.
 
     Layers with ordinal < cfg.skip_layers are left untouched, as are all
@@ -181,7 +164,7 @@ def inmerge_sweep(
     banks = conv_layers(model)
     if not banks:
         raise ConfigError("inmerge_sweep: model has no conv layers")
-    report = MergeReport(events=[] if record_events else None)
+    report = MergeReport()
     for ordinal, weight in banks:
         if ordinal < cfg.skip_layers:
             continue
@@ -202,16 +185,12 @@ def inmerge_sweep(
                 j += 1
             if zero_norm[i] or zero_norm[j]:
                 stats.zero_norm_skips += 1
-                if record_events:
-                    report.events.append(MergeEvent(ordinal, i, j, math.nan, False))
                 continue
             sim = float(sims[i, j])
             if cfg.invert_gate:
                 passed = sim < cfg.sim_threshold
             else:
                 passed = sim > cfg.sim_threshold
-            if record_events:
-                report.events.append(MergeEvent(ordinal, i, j, sim, passed))
             if passed:
                 stats.merges += 1
                 weight[i] = merge_pair(snapshot[i], snapshot[j], cfg.alpha)
@@ -247,9 +226,9 @@ class SimilarityStats:
         return float(np.mean([s for _, _, s in self.pairs]))
 
 
-def similarity_stats(model: Model, layer_ordinal: int, bins: int = 20) -> SimilarityStats:
+def similarity_stats(model: Model, layer_ordinal: int) -> SimilarityStats:
     """Every n*(n-1)/2 pairwise similarity of a layer's current kernels,
-    plus a histogram over [-1, 1].
+    plus a 20-bin histogram over [-1, 1].
 
     Kernels with norm <= 1e-12 are excluded from pairing and listed
     separately (their direction is undefined).
@@ -267,7 +246,7 @@ def similarity_stats(model: Model, layer_ordinal: int, bins: int = 20) -> Simila
     keep = ~(zero_norm[ii] | zero_norm[jj])
     ii, jj = ii[keep], jj[keep]
     values = sims[ii, jj]
-    hist, edges = np.histogram(values, bins=bins, range=(-1.0, 1.0))
+    hist, edges = np.histogram(values, bins=20, range=(-1.0, 1.0))
     return SimilarityStats(
         ordinal=layer_ordinal,
         pairs=list(zip(ii.tolist(), jj.tolist(), values.tolist())),

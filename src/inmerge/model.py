@@ -336,7 +336,6 @@ class Model:
 
 def build_model(config: ArchConfig, seed: int) -> Model:
     """Assemble and He-uniform-initialize a model; deterministic per seed."""
-    config.validate()
     layers = resolve_layers(config)
     out_shape = _walk_shapes(layers, config.input_shape)
     if out_shape != (config.num_classes,):

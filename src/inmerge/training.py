@@ -312,21 +312,15 @@ def run_protocol(
 
 
 def resume_protocol(
-    checkpoint_path,
-    data: DatasetHandle,
-    max_epochs: int | None = None,
-    save_checkpoints: bool = True,
+    checkpoint_path, data: DatasetHandle, max_epochs: int | None = None
 ) -> ProtocolResult:
-    """Continue a checkpointed run to completion; bit-identical to the
-    run that was never interrupted."""
+    """Continue a checkpointed run to completion, saving to the same
+    checkpoint after every epoch; bit-identical to the run that was never
+    interrupted."""
     from .checkpoint import load  # local import to avoid a cycle
 
     model, state, (arch, cfg) = load(checkpoint_path)
-    return _advance(
-        model, data, arch, cfg, state,
-        checkpoint_path if save_checkpoints else None,
-        max_epochs,
-    )
+    return _advance(model, data, arch, cfg, state, checkpoint_path, max_epochs)
 
 
 def _advance(model, data, arch, cfg, state, checkpoint_path, max_epochs) -> ProtocolResult:

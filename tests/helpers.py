@@ -172,17 +172,14 @@ def maxpool_loop_oracle(x: np.ndarray, window: int, stride: int, grad_out: np.nd
     return out, argmax, grad_x.astype(grad_out.dtype)
 
 
-def conv_backward_oracle(grad_out, x, weight, stride, padding, chunks, blocks=None):
+def conv_backward_oracle(grad_out, x, weight, stride, padding, chunks):
     """conv2d's gradients (d_input, d_weight, d_bias), computed as the engine
     first did, one (lo, hi) chunk of ``chunks`` at a time.
 
     The input gradient scatters ``w2.T @ g`` into a zeroed padded buffer
     with kh*kw strided adds in (i, j) order. The weight and bias gradients
     are ``g @ patches.T`` and ``g.sum(axis=1)`` of each chunk, summed over
-    the chunks in order; a kept batch is the one chunk (0, n). ``blocks``,
-    when given, are (lo, hi) ranges of patch rows whose weight-gradient
-    columns are computed one block at a time, as a kept batch's split GEMM
-    does: a GEMM's bits may depend on where in it a row falls.
+    the chunks in order; a kept batch is the one chunk (0, n).
     """
     c_out, c_in, kh, kw = weight.shape
     n, _, h, w = x.shape
@@ -196,8 +193,7 @@ def conv_backward_oracle(grad_out, x, weight, stride, padding, chunks, blocks=No
         win = sliding_window_view(np.pad(x[lo:hi], pads), (kh, kw), axis=(2, 3))
         win = win[:, :, ::stride, ::stride].transpose(1, 4, 5, 0, 2, 3)
         patches = np.ascontiguousarray(win).reshape(c_in * kh * kw, -1)
-        blocks_w = [g @ patches[r0:r1].T for r0, r1 in blocks or [(0, len(patches))]]
-        part_w, part_b = np.concatenate(blocks_w, axis=1), g.sum(axis=1)
+        part_w, part_b = g @ patches.T, g.sum(axis=1)
         if grad_w is None:
             grad_w, grad_b = part_w, part_b
         else:

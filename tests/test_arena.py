@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import inmerge.layers
-from inmerge.layers import PATCH_KEEP_LIMIT, Arena, ShardPool, _weight_gemm, softmax_ce_loss
-from inmerge.model import KINDS, ArchConfig, build_model
+from inmerge.layers import Arena, softmax_ce_loss
+from inmerge.model import ArchConfig, build_model
 from inmerge.training import sgd_step
 
 TINY = ArchConfig(input_shape=(1, 28, 28), num_classes=4, preset="tiny_cnn")
@@ -54,9 +54,9 @@ def test_warm_tiny_step_maps_no_memory(fresh_arena):
 
 
 # (arena.empty calls, pool.map calls) in one warm batch-128 step, counted
-# while conv2d_backward still scattered its input gradient chunk by chunk.
+# with a kept batch's weight gradient as one GEMM on the calling thread.
 # Each call costs tens of microseconds inside a step.
-STEP_CALLS = {"tiny_cnn": (101, 33), "small_vgg_d": (181, 41)}
+STEP_CALLS = {"tiny_cnn": (91, 29), "small_vgg_d": (167, 40)}
 
 
 @pytest.mark.parametrize("arch", [TINY, VGG], ids=["tiny_cnn", "small_vgg_d"])
@@ -170,36 +170,3 @@ def test_freed_ranges_merge_back_into_one(ops):
     whole = arena.empty((len(main),), np.uint8)
     assert arena._main is main and not arena._spilled
     assert whole.nbytes == len(main)
-
-
-@pytest.fixture
-def two_workers(monkeypatch):
-    pool = ShardPool(2)
-    monkeypatch.setattr(inmerge.layers, "_POOL", pool)
-    yield
-    if pool._executor is not None:
-        pool._executor.shutdown()
-
-
-def _kept_weight_gemms(arch, n):
-    """(c_out, C_in*kh*kw, n*h_out*w_out) of every conv whose patches a
-    batch of ``n`` keeps."""
-    shape, gemms = arch.input_shape, []
-    for spec in build_model(arch, seed=0).layers:
-        out = KINDS[spec.kind].shape(spec, shape)
-        if spec.kind == "conv2d":
-            k = spec.in_channels * spec.kernel_h * spec.kernel_w
-            if n * k * out[1] * out[2] * 4 <= PATCH_KEEP_LIMIT:
-                gemms.append((spec.out_channels, k, n * out[1] * out[2]))
-        shape = out
-    return gemms
-
-
-def test_split_weight_gemm_is_byte_equal_at_every_kept_shape(two_workers):
-    gemms = _kept_weight_gemms(TINY, 128) + _kept_weight_gemms(VGG, 128)
-    assert len(gemms) == 7  # tiny_cnn conv0-5 and small_vgg_d conv6
-    rng = np.random.default_rng(0)
-    for c_out, k, m in gemms:
-        g = rng.normal(size=(c_out, m)).astype(np.float32)
-        patches = rng.normal(size=(k, m)).astype(np.float32)
-        assert _weight_gemm(g, patches).tobytes() == (g @ patches.T).tobytes(), (c_out, k, m)

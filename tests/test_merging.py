@@ -139,7 +139,9 @@ def replay_expected(model_before, cfg, seed, epoch=0):
     Consumes a fresh generator exactly as the contract specifies
     (Bernoulli per kernel, then a lazy partner draw) and recomputes the
     expected post-sweep weights from the pre-sweep snapshot using the
-    documented float64 blend. Returns (expected_params, trace).
+    documented float64 blend. Returns (expected_params, trace): one
+    (ordinal, target, partner, similarity, merged) per draw, with a NaN
+    similarity where a zero-norm kernel skipped the gate.
     """
     rng = seeding.stream(seed, seeding.MERGE, epoch)
     expected = {k: v.copy() for k, v in model_before.items()}
@@ -165,6 +167,7 @@ def replay_expected(model_before, cfg, seed, epoch=0):
             ni = float(flat[i] @ flat[i])
             nj = float(flat[j] @ flat[j])
             if ni <= 1e-24 or nj <= 1e-24:
+                trace.append((ordinal, i, j, math.nan, False))
                 continue
             sim = float(np.clip(flat[i] @ flat[j] / math.sqrt(ni * nj), -1.0, 1.0))
             hit = sim < cfg.sim_threshold if cfg.invert_gate else sim > cfg.sim_threshold
@@ -175,6 +178,20 @@ def replay_expected(model_before, cfg, seed, epoch=0):
                 ) * flat[j].reshape(snap.shape[1:])
                 expected[f"conv{ordinal}.weight"][i] = blend.astype(np.float32)
     return expected, trace
+
+
+def layer_counts(report):
+    """{ordinal: (draws, merges, zero-norm skips)} of a sweep's report."""
+    return {s.ordinal: (s.draws, s.merges, s.zero_norm_skips) for s in report.layers if s.draws}
+
+
+def trace_counts(trace):
+    """The same counts, tallied from a ``replay_expected`` trace."""
+    counts = {}
+    for ordinal, _, _, sim, hit in trace:
+        draws, merges, skips = counts.get(ordinal, (0, 0, 0))
+        counts[ordinal] = (draws + 1, merges + hit, skips + math.isnan(sim))
+    return counts
 
 
 class TestSweep:
@@ -253,21 +270,12 @@ class TestSweep:
             model = small_model(seed=seed)
             before = snapshot(model)
             cfg = MergeConfig(alpha=0.8, merge_prob=0.6, sim_threshold=0.0)
-            rep = inmerge_sweep(
-                model, cfg, seeding.stream(seed, seeding.MERGE, 0), record_events=True
-            )
+            rep = inmerge_sweep(model, cfg, seeding.stream(seed, seeding.MERGE, 0))
             expected, trace = replay_expected(before, cfg, seed)
             for name in expected:
                 diff = model.params[name].view(np.uint32) ^ expected[name].view(np.uint32)
                 assert not diff.any(), f"seed {seed}: {name} diverges from replay"
-            got = [(e.ordinal, e.target, e.partner, e.merged) for e in rep.events]
-            sim_got = [e.similarity for e in rep.events]
-            want = [(o, i, j, hit) for o, i, j, _, hit in trace]
-            sim_want = [s for _, _, _, s, _ in trace]
-            assert got == want
-            # sims may differ in the last ulp (different reduction order);
-            # the decisions and written kernels above are exact
-            assert np.allclose(sim_got, sim_want, atol=1e-12, rtol=0)
+            assert layer_counts(rep) == trace_counts(trace), f"seed {seed}"
 
     def test_snapshot_sources_cross_merge(self):
         """Two kernels merging into each other must both read pre-sweep
@@ -330,13 +338,11 @@ class TestSweep:
         model = small_model(seed=6)
         before = snapshot(model)
         cfg = MergeConfig(merge_prob=1.0, sim_threshold=0.0, invert_gate=True)
-        rep = inmerge_sweep(
-            model, cfg, seeding.stream(8, seeding.MERGE, 0), record_events=True
-        )
+        rep = inmerge_sweep(model, cfg, seeding.stream(8, seeding.MERGE, 0))
         assert rep.merges_applied > 0
-        for e in rep.events:
-            assert e.merged == (e.similarity < 0.0)
-        expected, _ = replay_expected(before, cfg, 8)
+        expected, trace = replay_expected(before, cfg, 8)
+        assert any(not hit for *_, hit in trace)  # a similar pair was drawn and left alone
+        assert layer_counts(rep) == trace_counts(trace)
         assert bit_equal(snapshot(model), expected)
 
     def test_report_invariants(self):
