@@ -54,10 +54,13 @@ Speed and memory:
   gradient is one GEMM on the zero-padded input grid and kh*kw contiguous
   shifted adds (sub-chunks of half the patch budget), with a scatter's bits.
 - maxpool2d takes the running maximum over the ``window**2`` strided
-  views of its input; backward routes through the same views.
+  views of its input; backward routes through the same views. Neither
+  uses ``np.copyto(where=)``, which costs ~10 ns an element, over ten
+  times an ``np.maximum`` of the same size.
 - An activation lives only until backward has used it (``model``): relu's
   cache is its output, which is also the next layer's input, so the conv
-  output before it is freed at once; ``Model.backward`` drops each cache
+  output before it is freed at once; a relu before a max-pool runs after
+  it and keeps only the pooled array. ``Model.backward`` drops each cache
   after its layer, and a training step frees its batch before the next.
 """
 
@@ -607,16 +610,18 @@ def maxpool2d(x: np.ndarray, window: int, stride: int) -> tuple[np.ndarray, Pool
     h_out = out_extent(x.shape[2], window, stride, 0, "maxpool2d height")
     w_out = out_extent(x.shape[3], window, stride, 0, "maxpool2d width")
     shape = (x.shape[0], x.shape[1], h_out, w_out)
-    out, mask = _ARENA.empty(shape, x.dtype), _ARENA.empty(shape, np.bool_)
+    out = _ARENA.empty(shape, x.dtype)
     argmax = _ARENA.empty(shape, np.min_scalar_type(window * window - 1))
+    hits = _ARENA.empty(shape, argmax.dtype)  # the argmax's dtype, so hit * idx cannot overflow
 
     def run(lo, hi):
-        top, arg, hit = out[lo:hi], argmax[lo:hi], mask[lo:hi]
+        top, arg, hit = out[lo:hi], argmax[lo:hi], hits[lo:hi]
         tiles = _tiles(x[lo:hi], window, stride, h_out, w_out)
         arg.fill(0)
         np.copyto(top, tiles[0])
         for idx, tile in enumerate(tiles[1:], 1):
-            np.copyto(arg, idx, where=np.greater(tile, top, out=hit))
+            # positions rise tile by tile, so a new strict maximum holds the largest one yet
+            np.maximum(arg, np.multiply(np.greater(tile, top, out=hit), idx, out=hit), out=arg)
             # propagates NaN, so ensure_finite still sees a NaN input
             np.maximum(tile, top, out=top)
 
@@ -628,9 +633,13 @@ def maxpool2d(x: np.ndarray, window: int, stride: int) -> tuple[np.ndarray, Pool
 def maxpool2d_backward(grad_out: np.ndarray, cache: PoolCache) -> np.ndarray:
     """Route each output gradient to its argmax input position.
 
-    A non-overlapping pool writes each strided view of the input gradient
-    once, from the outputs whose argmax is that view's window position.
-    Overlapping windows sum their routed gradients with ``np.bincount``.
+    A pool whose window equals its stride writes each strided view of the
+    input gradient once, as ``grad_out * (argmax == idx)``; adding 0 then
+    turns -0.0 into +0.0, as the ``np.bincount`` sum of other pools does.
+    A non-finite ``grad_out`` therefore gives NaN (NaN * 0) at the other
+    positions of its window too. Inside a model none arrives: a pool's
+    gradient comes from a loss, conv or dense gradient checked finite,
+    through relu and flatten, which keep it finite.
     """
     n, c, h, w = cache.input_shape
     k, (h_out, w_out) = cache.window, cache.argmax.shape[2:]
@@ -640,16 +649,13 @@ def maxpool2d_backward(grad_out: np.ndarray, cache: PoolCache) -> np.ndarray:
         )
     grad_x = _ARENA.empty(cache.input_shape, grad_out.dtype)
     if k == cache.stride:
-        routed = _ARENA.empty(grad_out.shape, grad_out.dtype)
         mask = _ARENA.empty(grad_out.shape, np.bool_)
 
         def run(lo, hi):
-            # + 0 turns -0.0 into +0.0, as the bincount sum below does
-            r, arg, hit = routed[lo:hi], cache.argmax[lo:hi], mask[lo:hi]
-            np.add(grad_out[lo:hi], 0, out=r)
-            grad_x[lo:hi].fill(0)
-            for idx, tile in enumerate(_tiles(grad_x[lo:hi], k, k, h_out, w_out)):
-                np.copyto(tile, r, where=np.equal(arg, idx, out=hit))
+            gx, arg, hit = grad_x[lo:hi], cache.argmax[lo:hi], mask[lo:hi]
+            for idx, tile in enumerate(_tiles(gx, k, k, h_out, w_out)):
+                np.multiply(grad_out[lo:hi], np.equal(arg, idx, out=hit), out=tile)
+            gx += 0
 
         _POOL.map(run, _shards(n))
         return grad_x

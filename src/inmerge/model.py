@@ -5,8 +5,10 @@ conv-layer ordering.
 check (the ``layers.*_spec`` constructor), its shape rule (conv and pool
 extents come from ``tensor.out_extent``), its parameter init, and its
 forward and backward calls into the ``layers`` math. Shape inference,
-``build_model``, ``Model.forward`` and ``Model.backward`` all walk this
-table, so adding a kind touches one place.
+``build_model``, ``Model.forward`` and ``Model.backward`` all look kinds
+up in this table, so adding a kind touches one place. The two passes walk
+the layers in execution order (``_execution_order``): position order, but
+for a relu directly followed by a max-pool, which runs after the pool.
 
 A Model owns an ordered list of LayerSpecs plus a name -> ndarray
 parameter registry. Convolution layers additionally carry a global
@@ -145,6 +147,19 @@ def _walk_shapes(layers: list[LayerSpec], input_shape: tuple[int, ...]) -> tuple
 # and friends (as the benchmark's tracer does) sees every call.
 
 
+def _execution_order(layers: list[LayerSpec]) -> list[int]:
+    """Layer positions in the order forward runs them: a relu directly
+    followed by a max-pool runs after the pool, on the pooled array. Max
+    commutes with relu, so logits and parameter gradients keep their bits
+    (an input gradient may hold +0.0 for -0.0), while the relu reads, and
+    its cache keeps, a fraction of the elements."""
+    order = list(range(len(layers)))
+    for pos in range(len(layers) - 1):
+        if (layers[pos].kind, layers[pos + 1].kind) == ("relu", "maxpool2d"):
+            order[pos : pos + 2] = [pos + 1, pos]
+    return order
+
+
 def _window_shape(shape, channels, kh, kw, stride, padding) -> tuple[int, ...]:
     """(channels, h_out, w_out) of a sliding window over a (C, H, W) input."""
     if len(shape) != 3:
@@ -194,8 +209,9 @@ class LayerKind:
               trailing extents as fan-in; biases start at zero.
 
     A cache holds only what backward reads. relu's is its output (the
-    next layer's input, so no extra array), since ``relu(x) > 0`` exactly
-    where ``x > 0``; the input it came from is freed after forward.
+    next layer's input in execution order, so no extra array), since
+    ``relu(x) > 0`` exactly where ``x > 0``; the input it came from is
+    freed after forward. A pre-pool relu's output is the pooled array.
     """
 
     shape: Callable[[LayerSpec, tuple[int, ...]], tuple[int, ...]]
@@ -295,33 +311,36 @@ class Model:
 
     def forward(self, x: np.ndarray, want_caches: bool = False):
         """Logits for an NCHW batch; with ``want_caches`` also returns what
-        ``backward`` needs."""
+        ``backward`` needs, one cache per layer position. Layers run in
+        execution order (module docstring)."""
         if x.ndim != 4 or x.shape[1:] != self.arch.input_shape:
             raise ShapeError(
                 f"forward: batch shape {x.shape} does not end in {self.arch.input_shape}"
             )
-        caches = [] if want_caches else None
+        caches = [None] * len(self.layers) if want_caches else None
         h = x
-        for spec, base in zip(self.layers, self._names):
+        for pos in _execution_order(self.layers):
+            spec, base = self.layers[pos], self._names[pos]
             w = b = None
             if base is not None:
                 w, b = self.params[f"{base}.weight"], self.params[f"{base}.bias"]
             h, cache = KINDS[spec.kind].forward(spec, h, w, b, want_caches)
             if want_caches:
-                caches.append(cache)
+                caches[pos] = cache
         return (h, caches) if want_caches else h
 
     def backward(self, grad_logits: np.ndarray, caches: list) -> dict[str, np.ndarray]:
         """Parameter gradients (same keys as ``params``) for a forward pass
         recorded with ``want_caches=True``. The first layer's input gradient
         is not computed: nothing uses the gradient of the input images.
+        Layers run in the reverse of forward's execution order.
 
         Consumes ``caches``: each entry is set to None once its layer's
         backward has run, so each activation is freed as soon as it has
         been used. Do not reuse the list."""
         grads: dict[str, np.ndarray] = {}
         g = grad_logits
-        for pos in range(len(self.layers) - 1, -1, -1):
+        for pos in reversed(_execution_order(self.layers)):
             spec, base = self.layers[pos], self._names[pos]
             if base is None:
                 g = KINDS[spec.kind].backward(spec, g, caches[pos], None)

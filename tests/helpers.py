@@ -208,6 +208,52 @@ def conv_backward_oracle(grad_out, x, weight, stride, padding, chunks):
     return grad_x, grad_w.reshape(weight.shape), grad_b
 
 
+def spec_order_oracle(model, x: np.ndarray, grad_logits: np.ndarray):
+    """(logits, parameter gradients) of ``model`` on ``x``, running every
+    layer through the ``layers`` functions in position order and backward
+    in reverse, whatever order ``Model.forward`` picks. Each layer keeps its
+    own input; relu's backward masks on that input, not on its output."""
+    prefixes = {"conv2d": "conv", "dense": "dense"}
+    counts, names, inputs, pools, h = {}, [], [], {}, x
+    for pos, spec in enumerate(model.layers):
+        inputs.append(h)
+        name = None
+        if spec.kind in prefixes:
+            prefix = prefixes[spec.kind]
+            counts[prefix] = counts.get(prefix, -1) + 1
+            name = f"{prefix}{counts[prefix]}"
+            w, b = model.params[f"{name}.weight"], model.params[f"{name}.bias"]
+        names.append(name)
+        if spec.kind == "conv2d":
+            h = conv2d_forward(h, w, b, spec.stride, spec.padding)
+        elif spec.kind == "relu":
+            h = relu(h)
+        elif spec.kind == "maxpool2d":
+            h, pools[pos] = maxpool2d(h, spec.window, spec.stride)
+        elif spec.kind == "flatten":
+            h = h.reshape(len(h), -1)
+        else:
+            h = dense_forward(h, w, b)
+    grads, g = {}, grad_logits
+    for pos in range(len(model.layers) - 1, -1, -1):
+        spec, name, inp = model.layers[pos], names[pos], inputs[pos]
+        if spec.kind == "conv2d":
+            w = model.params[f"{name}.weight"]
+            g, grads[f"{name}.weight"], grads[f"{name}.bias"] = conv2d_backward(
+                g, inp, w, spec.stride, spec.padding
+            )
+        elif spec.kind == "dense":
+            w = model.params[f"{name}.weight"]
+            g, grads[f"{name}.weight"], grads[f"{name}.bias"] = dense_backward(g, inp, w)
+        elif spec.kind == "relu":
+            g = relu_backward(g, inp)
+        elif spec.kind == "maxpool2d":
+            g = maxpool2d_backward(g, pools[pos])
+        else:
+            g = g.reshape(inp.shape)
+    return h, grads
+
+
 def auroc_pair_oracle(scores: np.ndarray, labels: np.ndarray) -> float:
     """O(n^2) Mann-Whitney oracle: (concordant + 0.5 * tied) / (n1 * n0)."""
     scores = np.asarray(scores, dtype=np.float64)

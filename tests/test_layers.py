@@ -344,20 +344,51 @@ class TestConvBackwardOracle:
 
 
 class TestPoolAgainstLoopOracle:
+    """Outputs and input gradients must match the oracle byte for byte:
+    ``np.array_equal`` would count -0.0 and +0.0 as equal."""
+
+    @staticmethod
+    def check(x, window, stride, rng):
+        out, cache = maxpool2d(x, window, stride)
+        g = rng.normal(size=out.shape).astype(np.float32)
+        g.flat[::3] = -0.0  # the input gradient must hold +0.0 for these
+        want_out, want_argmax, want_gx = maxpool_loop_oracle(x, window, stride, g)
+        assert out.tobytes() == want_out.tobytes()
+        assert np.array_equal(cache.argmax, want_argmax)
+        gx = maxpool2d_backward(g, cache)
+        assert gx.dtype == g.dtype
+        assert gx.tobytes() == want_gx.tobytes()
+
     @pytest.mark.parametrize("window, stride", [(1, 1), (2, 2), (3, 3), (3, 2)])
     def test_values_argmax_and_routing(self, window, stride):
         rng = np.random.default_rng(window * 10 + stride)
         size = 7 if window != stride else 6  # whole windows only
         # small integers: many ties inside a window
         x = rng.integers(0, 3, size=(2, 3, size, size)).astype(np.float32)
-        out, cache = maxpool2d(x, window, stride)
-        g = rng.normal(size=out.shape).astype(np.float32)
-        want_out, want_argmax, want_gx = maxpool_loop_oracle(x, window, stride, g)
-        assert np.array_equal(out, want_out)
-        assert np.array_equal(cache.argmax, want_argmax)
-        gx = maxpool2d_backward(g, cache)
-        assert gx.dtype == g.dtype
-        assert np.array_equal(gx, want_gx)
+        self.check(x, window, stride, rng)
+
+    @pytest.mark.parametrize(
+        "window, stride, size, values",
+        [
+            (2, 2, 6, (-3.0, -2.0, -1.0)),
+            (2, 2, 6, (-1.0, -0.0, 0.0)),
+            (3, 2, 7, (-1.0, -0.0, 0.0)),
+            (2, 3, 8, (-1.0, -0.0, 0.0, 1.0)),  # gapped: rows and columns no window reads
+            (17, 17, 34, (-1.0, 0.0, 1.0)),  # 289 window positions: a uint16 argmax
+        ],
+        ids=["negative_ties", "signed_zeros", "signed_zeros_overlapping", "gapped", "17x17"],
+    )
+    def test_edge_values(self, window, stride, size, values):
+        rng = np.random.default_rng(window * 10 + stride)
+        x = rng.choice(np.array(values, np.float32), size=(2, 3, size, size))
+        self.check(x, window, stride, rng)
+
+    @pytest.mark.parametrize("at", [(0, 0), (0, 1), (1, 1)])
+    def test_nan_propagates_through_forward(self, at):
+        x = np.zeros((1, 1, 4, 4), np.float32)
+        x[0, 0, at[0], at[1]] = np.nan
+        with pytest.raises(NumericError):
+            maxpool2d(x, 2, 2)
 
 
 class TestDense:

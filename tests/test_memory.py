@@ -47,13 +47,38 @@ def test_backward_consumes_every_cache():
 
 
 def test_relu_cache_is_next_conv_input():
+    """Every relu's cache is the input of the next conv, so it holds no
+    array of its own. A relu before a max-pool runs after the pool, so the
+    next conv reads its output, and its cache is of the pooled shape."""
     model, x = _vgg_batch(2)
     _, caches = model.forward(x, want_caches=True)
     kinds = [spec.kind for spec in model.layers]
-    pairs = [p for p in range(len(kinds) - 1) if kinds[p:p + 2] == ["relu", "conv2d"]]
-    assert len(pairs) == 4
-    for pos in pairs:
-        assert caches[pos] is caches[pos + 1][0]
+    relus = [p for p, kind in enumerate(kinds) if kind == "relu"]
+    assert len(relus) == 8
+    for pos in relus:
+        if "conv2d" in kinds[pos:]:
+            assert caches[pos] is caches[kinds.index("conv2d", pos)][0], pos
+        if kinds[pos + 1] == "maxpool2d":
+            assert caches[pos].shape == caches[pos + 1].argmax.shape, pos
+
+
+def test_warm_small_vgg_step_at_batch_32_traces_at_most_108_mib():
+    """A warm step's traced peak; pre-pool relus that ran before their
+    pools, on the full conv output, kept it above 116 MiB."""
+    model, x = _vgg_batch(32)
+
+    def step():
+        logits, caches = model.forward(x, want_caches=True)
+        model.backward(np.ones_like(logits), caches)
+
+    step()
+    tracemalloc.start()
+    try:
+        step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 108 * MiB, f"{peak / MiB:.1f} MiB"
 
 
 def test_train_epoch_frees_each_batch_before_the_next_forward(monkeypatch):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import spec_order_oracle
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -224,3 +225,43 @@ def test_conv_caches_keep_patches_only_within_limit():
     assert any(p is None for p in patches) and any(p is not None for p in patches)
     grads = model.backward(np.ones_like(logits), caches)
     assert set(grads) == set(model.params)
+
+
+
+# explicit stacks on 2-channel inputs: (input extent, extent after the
+# middle layers, middle layers), each between a conv and
+# conv -> relu -> flatten -> dense
+STACKS = {
+    "relu_then_overlapping_pool": (9, 4, [relu_spec(), pool_spec(3, 2)]),
+    "relu_relu_pool": (8, 4, [relu_spec(), relu_spec(), pool_spec(2, 2)]),
+    "relu_then_gapped_pool": (8, 3, [relu_spec(), pool_spec(2, 3)]),
+    "pool_then_relu": (8, 4, [pool_spec(2, 2), relu_spec()]),
+}
+
+
+def _stack(size, extent, middle):
+    conv = lambda c_out, c_in: conv_spec(c_out, c_in, 3, 3, stride=1, padding=1)
+    tail = [conv(3, 4), relu_spec(), flatten_spec(), dense_spec(3 * extent * extent, 3)]
+    layers = (conv(4, 2), *middle, *tail)
+    return ArchConfig(input_shape=(2, size, size), num_classes=3, layers=layers)
+
+
+@pytest.mark.parametrize(
+    "arch, n",
+    [(TINY, 5), (VGG, 3), *[(_stack(*stack), 3) for stack in STACKS.values()]],
+    ids=["tiny_cnn", "small_vgg_d", *STACKS],
+)
+def test_execution_order_is_invisible_from_outside(arch, n):
+    """Whatever order forward runs the layers in, logits and parameter
+    gradients match, byte for byte, a pass run in position order."""
+    model = build_model(arch, seed=3)
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(n, *arch.input_shape)).astype(np.float32)
+    grad_logits = rng.normal(size=(n, arch.num_classes)).astype(np.float32)
+    want_logits, want_grads = spec_order_oracle(model, x, grad_logits)
+    logits, caches = model.forward(x, want_caches=True)
+    assert model.forward(x).tobytes() == logits.tobytes() == want_logits.tobytes()
+    grads = model.backward(grad_logits, caches)
+    assert set(grads) == set(want_grads) == set(model.params)
+    for name, grad in grads.items():
+        assert grad.tobytes() == want_grads[name].tobytes(), name
