@@ -53,6 +53,7 @@ from .training import (
     ProtocolResult,
     TrainConfig,
     TrainState,
+    check_head,
     evaluate,
     predict_logits,
     run_protocol,
@@ -128,8 +129,8 @@ def _save_best_checkpoint(result: ProtocolResult, arch, cfg, path: Path) -> None
 
 
 def _run_cell(arch, handle, cfg, out_dir: Path, data_dir: Path) -> ProtocolResult:
-    """Train once and write the full artifact set into ``out_dir``."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Train once and write the full artifact set into ``out_dir``, which
+    the first checkpoint creates."""
     result = run_protocol(arch, handle, cfg, checkpoint_path=out_dir / "last.ckpt")
     echo = {"arch": asdict(arch), "data": {"dir": str(data_dir)}, "train": asdict(cfg)}
     _write_run_artifacts(out_dir, result, echo)
@@ -275,6 +276,7 @@ def cmd_ablate(args) -> int:
 
     rc = load_run_config(args.config)
     handle = load_dataset(rc.data.dir)
+    check_head(rc.arch, handle)  # before any cell directory is made
     for name, split in handle.splits.items():  # each cell trains on train and val, then tests
         if len(split) == 0:
             raise DataError(f"{name} split is empty")

@@ -227,8 +227,10 @@ def synth_make(
         raise ConfigError("synth_make: all size parameters must be positive")
     if not 0.0 <= label_noise < 1.0:
         raise ConfigError(f"label_noise must be in [0, 1), got {label_noise}")
-    if abs(sum(split_fractions) - 1.0) > 1e-9 or min(split_fractions) < 0:
-        raise ConfigError(f"split_fractions must be non-negative and sum to 1")
+    if len(split_fractions) != 3 or not all(math.isfinite(f) and f >= 0 for f in split_fractions):
+        raise ConfigError(f"split_fractions must be 3 finite values >= 0, got {split_fractions}")
+    if abs(sum(split_fractions) - 1.0) > 1e-9:
+        raise ConfigError(f"split_fractions must sum to 1, got {split_fractions}")
 
     rng = seeding.stream(seed, seeding.SYNTH)
     total = n_per_class * num_classes

@@ -39,11 +39,11 @@ Speed and memory:
   results are byte-identical for any worker count and, but for the
   exception above, any ``SHARDS``. Checks (``ensure_finite``) run on the
   calling thread.
-- Every large array the layers write comes from ``Arena``: outputs,
-  input gradients, argmaxes, masks and scratch. Its memory is reused as
-  soon as no array viewing it is alive (memory sharing by liveness, as in
-  Chen et al. 2016), so a warm training step takes no new pages from the
-  system. A shard takes its scratch once per call, for all its chunks.
+- Every array the layers write is an ``np.empty`` taken on the calling
+  thread, a shard's scratch once per call. ``ShardPool`` has glibc keep
+  them on the main heap and keep what is freed, so memory is reused once
+  no array holds it (sharing by liveness, as in Chen et al. 2016) and a
+  warm training step takes almost no new pages from the system.
 - conv2d lowers to GEMMs over an im2col patch matrix (Chellapilla et al.
   2006). A batch whose patch matrix fits ``PATCH_KEEP_LIMIT`` keeps it,
   and forward hands it on to backward, whose weight gradient is one GEMM,
@@ -66,16 +66,10 @@ Speed and memory:
 
 from __future__ import annotations
 
-import bisect
-import collections
-import contextlib
 import contextvars
 import ctypes
-import math
-import mmap
 import os
 import threading
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,6 +171,15 @@ def _blas_set_local():
     return None
 
 
+def _keep_freed_memory() -> None:
+    """Have glibc's malloc serve every block from its heap and never trim it."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(-4, 0)  # M_MMAP_MAX
+        mallopt(-1, 2**31 - 1)  # M_TRIM_THRESHOLD
+
+
 class ShardPool:
     """Worker threads for a layer's shards, each with one BLAS thread.
 
@@ -184,8 +187,9 @@ class ShardPool:
     the calling thread when there is one worker, when numpy's OpenBLAS
     lacks ``openblas_set_num_threads_local``, or for fewer than two jobs.
     With the symbol, the calling thread is set to one BLAS thread too, so
-    no result depends on which thread computes it. Threads start on first
-    use.
+    no result depends on which thread computes it. The first ``map`` looks
+    the symbol up, starts the threads and, process-wide, has the C heap keep
+    the memory it frees (``_keep_freed_memory``); importing changes nothing.
     """
 
     def __init__(self, workers: int | None = None):
@@ -201,6 +205,7 @@ class ShardPool:
         with self._lock:
             if not self._started:
                 self._started, self._set_local = True, _blas_set_local()
+                _keep_freed_memory()
                 if self._set_local is not None and self._workers > 1:
                     # imported on first use: importing it with the module costs ~8 ms
                     from concurrent.futures import ThreadPoolExecutor
@@ -220,93 +225,6 @@ class ShardPool:
 
 
 _POOL = ShardPool()
-
-
-# ---------------------------------------------------------------------------
-# buffer arena
-
-_TRACK, _UNTRACK = ctypes.pythonapi.PyTraceMalloc_Track, ctypes.pythonapi.PyTraceMalloc_Untrack
-_TRACK.argtypes = [ctypes.c_uint, ctypes.c_size_t, ctypes.c_size_t]
-_UNTRACK.argtypes = _TRACK.argtypes[:2]
-_TRACK.restype = _UNTRACK.restype = ctypes.c_int
-
-
-def _mapping(size: int) -> mmap.mmap:
-    """Anonymous memory of its own, returned to the system when dropped."""
-    memory = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
-    with contextlib.suppress(OSError):  # huge pages, as numpy asks for its large arrays
-        memory.madvise(mmap.MADV_HUGEPAGE)
-    return memory
-
-
-class Arena:
-    """Memory for the arrays the layer math writes, reused across calls.
-
-    Each array views a range of the main block through a holder, an array
-    on a memoryview of the block, which numpy makes the ``base`` of every
-    array derived from it; when the holder dies, a weakref callback frees
-    its range. Ranges are taken first-fit and merge with free neighbours,
-    as in malloc. A request that fits nowhere spills to a mapping of its
-    own, unmapped when its holder dies, and at the next quiet point (no
-    range in use) the main block grows by the most bytes spilled at once.
-    tracemalloc counts each live range as numpy counts its own arrays.
-    """
-
-    ALIGN = 64  # bytes; blocks start on a page, every range on a cache line
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._main, self._free = b"", []  # no block yet; free ranges: [[offset, size], ...]
-        self._spilled = self._spill_peak = 0  # bytes spilled: held now, most held at once
-        self._live: dict = {}  # id(weakref to a holder) -> (weakref, offset or None, size)
-        self._freed = collections.deque()  # weakrefs of dead holders
-
-    def empty(self, shape: tuple[int, ...], dtype) -> np.ndarray:
-        """An uninitialised C-order array, like ``np.empty``."""
-        dtype, count = np.dtype(dtype), math.prod(shape)
-        size = max(1, -(-count * dtype.itemsize // self.ALIGN)) * self.ALIGN
-        with self._lock:
-            while self._freed:
-                self._give_back(*self._live.pop(id(self._freed.popleft()))[1:])
-            if self._spill_peak and not self._live:
-                self._main = _mapping(len(self._main) + self._spill_peak)
-                self._free, self._spill_peak = [[0, len(self._main)]], 0
-            for i, (offset, length) in enumerate(self._free):  # first fit
-                if length >= size:
-                    self._free[i : i + 1] = [[offset + size, length - size]] if length > size else []
-                    memory = self._main
-                    break
-            else:
-                memory, offset = _mapping(size), None
-                self._spilled += size
-                self._spill_peak = max(self._spill_peak, self._spilled)
-            holder = np.frombuffer(memory, dtype, count, offset or 0)
-            address = holder.ctypes.data
-            _TRACK(np.lib.tracemalloc_domain, address, size)
-            ref = weakref.ref(holder, lambda ref: self._dead(ref, address))
-            self._live[id(ref)] = (ref, offset, size)
-        return holder.reshape(shape)
-
-    def _dead(self, ref: weakref.ref, address: int) -> None:
-        # any thread, without the lock; the range is given back on the next call
-        _UNTRACK(np.lib.tracemalloc_domain, address)
-        self._freed.append(ref)
-
-    def _give_back(self, offset: int | None, size: int) -> None:
-        if offset is None:
-            self._spilled -= size
-            return
-        free = self._free
-        i = bisect.bisect(free, [offset])
-        if i < len(free) and free[i][0] == offset + size:  # merge the next range
-            size += free.pop(i)[1]
-        if i > 0 and sum(free[i - 1]) == offset:  # and the previous one
-            free[i - 1][1] += size
-        else:
-            free.insert(i, [offset, size])
-
-
-_ARENA = Arena()
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +297,10 @@ def _gatherer(x, weight, stride, padding, h_out, w_out, step, whole, first):
     c_in, kh, kw = weight.shape[1:]
     h, w = x.shape[2:]
     if whole is None:
-        whole, first = _ARENA.empty((c_in, kh, kw, step, h_out, w_out), x.dtype), 0
+        whole, first = np.empty((c_in, kh, kw, step, h_out, w_out), x.dtype), 0
     whole = whole[:, :, :, first:]
     if padding:
-        pad = _ARENA.empty((step, c_in, h + 2 * padding, w + 2 * padding), x.dtype)
+        pad = np.empty((step, c_in, h + 2 * padding, w + 2 * padding), x.dtype)
         pad.fill(0)
 
     def gather(lo, hi):
@@ -422,10 +340,10 @@ def conv2d_forward(
     w2 = weight.reshape(c_out, -1)
     step, shards, kept = _conv_chunks(x, weight, h_out, w_out)
     dt = np.result_type(x, weight)
-    out = _ARENA.empty((n, c_out, h_out, w_out), dt)
+    out = np.empty((n, c_out, h_out, w_out), dt)
     cols = None
     if kept and _cols_out is not None:
-        cols = _ARENA.empty((c_in, kh, kw, n, h_out, w_out), x.dtype)
+        cols = np.empty((c_in, kh, kw, n, h_out, w_out), x.dtype)
         _cols_out.append(cols.reshape(c_in * kh * kw, n * h_out * w_out))
 
     def run(chunks, gather, gemm):
@@ -435,12 +353,12 @@ def conv2d_forward(
             chunk += bias[:, None]
             out[lo:hi] = chunk.reshape(c_out, -1, h_out, w_out).transpose(1, 0, 2, 3)
 
-    # scratch is taken here, in shard order, so that every step lays out the arena alike
+    # scratch is taken here, on the calling thread, so the big buffers stay on the main heap
     jobs = [
         (
             chunks,
             _gatherer(x, weight, stride, padding, h_out, w_out, step, cols, chunks[0][0]),
-            _ARENA.empty((c_out * step * h_out * w_out,), dt),
+            np.empty((c_out * step * h_out * w_out,), dt),
         )
         for chunks in shards
     ]
@@ -491,14 +409,16 @@ def conv2d_backward(
     grid_floats = (c_out + k + c_in) * hp * wp  # a sample's output gradient, GEMM output, sums
     # samples per input-gradient sub-chunk, whose grids fit half the patch budget
     sub = min(step, max(1, PATCH_BUDGET // 2 // (grid_floats * dt.itemsize)))
-    grad_x = _ARENA.empty(x.shape, dt) if need_input_grad else None
+    grad_x = np.empty(x.shape, dt) if need_input_grad else None
     # A kept batch's shards fill whole-batch buffers of patches and of the
     # transposed output gradient; its weight and bias gradients are then
     # one GEMM and one sum over the whole batch, on the calling thread.
-    g_kept = _ARENA.empty((c_out, n, h_out, w_out), dt) if kept else None
+    g_kept = np.empty((c_out, n, h_out, w_out), dt) if kept else None
     whole = None
     if kept and cols is None:
-        whole = _ARENA.empty((c_in, kh, kw, n, h_out, w_out), x.dtype)
+        whole = np.empty((c_in, kh, kw, n, h_out, w_out), x.dtype)
+    # each chunk's weight gradient: taken here, as all scratch, not in a worker
+    dw = None if kept else np.empty((-(-n // step), k, c_out), np.result_type(x, dt))
 
     def run(chunks, gather, g_buf, grid):
         parts = []
@@ -511,7 +431,7 @@ def conv2d_backward(
             np.copyto(g, grad_out[lo:hi].transpose(1, 0, 2, 3))
             if not kept:
                 g = g.reshape(c_out, -1)
-                parts.append(((patches @ g.T).T, g.sum(axis=1)))
+                parts.append((np.matmul(patches, g.T, out=dw[lo // step]).T, g.sum(axis=1)))
         if not need_input_grad:
             return parts
         g_grid, win, d = np.split(grid, [c_out * sub * hp * wp, (c_out + k) * sub * hp * wp])
@@ -536,8 +456,8 @@ def conv2d_backward(
         gather = cols is None and _gatherer(
             x, weight, stride, padding, h_out, w_out, step, whole, chunks[0][0]
         )
-        g_buf = None if kept else _ARENA.empty((c_out * step * hw,), dt)
-        grid = need_input_grad and _ARENA.empty((sub * grid_floats + c_in * slack,), dt)
+        g_buf = None if kept else np.empty((c_out * step * hw,), dt)
+        grid = need_input_grad and np.empty((sub * grid_floats + c_in * slack,), dt)
         jobs.append((chunks, gather, g_buf, grid))
     parts = _POOL.map(run, jobs)
     if kept:
@@ -559,7 +479,7 @@ def conv2d_backward(
 
 
 def relu(x: np.ndarray) -> np.ndarray:
-    out = _ARENA.empty(x.shape, x.dtype)
+    out = np.empty(x.shape, x.dtype)
     _POOL.map(lambda lo, hi: np.maximum(x[lo:hi], 0, out=out[lo:hi]), _shards(len(x)))
     return out
 
@@ -567,7 +487,7 @@ def relu(x: np.ndarray) -> np.ndarray:
 def relu_backward(grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:
     if grad_out.shape != x.shape:
         raise ShapeError(f"relu_backward: grad shape {grad_out.shape} != {x.shape}")
-    out, mask = _ARENA.empty(x.shape, grad_out.dtype), _ARENA.empty(x.shape, np.bool_)
+    out, mask = np.empty(x.shape, grad_out.dtype), np.empty(x.shape, np.bool_)
 
     def run(lo, hi):
         np.multiply(grad_out[lo:hi], np.greater(x[lo:hi], 0, out=mask[lo:hi]), out=out[lo:hi])
@@ -610,9 +530,9 @@ def maxpool2d(x: np.ndarray, window: int, stride: int) -> tuple[np.ndarray, Pool
     h_out = out_extent(x.shape[2], window, stride, 0, "maxpool2d height")
     w_out = out_extent(x.shape[3], window, stride, 0, "maxpool2d width")
     shape = (x.shape[0], x.shape[1], h_out, w_out)
-    out = _ARENA.empty(shape, x.dtype)
-    argmax = _ARENA.empty(shape, np.min_scalar_type(window * window - 1))
-    hits = _ARENA.empty(shape, argmax.dtype)  # the argmax's dtype, so hit * idx cannot overflow
+    out = np.empty(shape, x.dtype)
+    argmax = np.empty(shape, np.min_scalar_type(window * window - 1))
+    hits = np.empty(shape, argmax.dtype)  # the argmax's dtype, so hit * idx cannot overflow
 
     def run(lo, hi):
         top, arg, hit = out[lo:hi], argmax[lo:hi], hits[lo:hi]
@@ -647,9 +567,9 @@ def maxpool2d_backward(grad_out: np.ndarray, cache: PoolCache) -> np.ndarray:
         raise ShapeError(
             f"maxpool2d_backward: grad shape {grad_out.shape} != {cache.argmax.shape}"
         )
-    grad_x = _ARENA.empty(cache.input_shape, grad_out.dtype)
+    grad_x = np.empty(cache.input_shape, grad_out.dtype)
     if k == cache.stride:
-        mask = _ARENA.empty(grad_out.shape, np.bool_)
+        mask = np.empty(grad_out.shape, np.bool_)
 
         def run(lo, hi):
             gx, arg, hit = grad_x[lo:hi], cache.argmax[lo:hi], mask[lo:hi]

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import seeding
 from .data import TASKS
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 from .layers import (
     LayerSpec,
     conv2d_backward,
@@ -269,7 +269,9 @@ class Model:
     ``conv_index`` maps layer position -> conv ordinal; ``params`` maps
     names like ``conv0.weight`` / ``dense0.bias`` to float32 arrays.
     In-place writes through those arrays are the supported way to mutate
-    weights (the merge sweep relies on this aliasing).
+    weights (the merge sweep relies on this aliasing). A ``NumericError``
+    from a layer leaves ``forward`` and ``backward`` naming it, e.g. ``layer
+    7 (conv3) forward: conv2d_forward: ...``; one without parameters by kind.
     """
 
     arch: ArchConfig
@@ -324,7 +326,10 @@ class Model:
             w = b = None
             if base is not None:
                 w, b = self.params[f"{base}.weight"], self.params[f"{base}.bias"]
-            h, cache = KINDS[spec.kind].forward(spec, h, w, b, want_caches)
+            try:
+                h, cache = KINDS[spec.kind].forward(spec, h, w, b, want_caches)
+            except NumericError as exc:
+                raise NumericError(f"layer {pos} ({base or spec.kind}) forward: {exc}") from None
             if want_caches:
                 caches[pos] = cache
         return (h, caches) if want_caches else h
@@ -342,13 +347,16 @@ class Model:
         g = grad_logits
         for pos in reversed(_execution_order(self.layers)):
             spec, base = self.layers[pos], self._names[pos]
-            if base is None:
-                g = KINDS[spec.kind].backward(spec, g, caches[pos], None)
-            else:
-                w = self.params[f"{base}.weight"]
-                g, grads[f"{base}.weight"], grads[f"{base}.bias"] = KINDS[spec.kind].backward(
-                    spec, g, caches[pos], w, pos > 0
-                )
+            try:
+                if base is None:
+                    g = KINDS[spec.kind].backward(spec, g, caches[pos], None)
+                else:
+                    w = self.params[f"{base}.weight"]
+                    g, grads[f"{base}.weight"], grads[f"{base}.bias"] = KINDS[spec.kind].backward(
+                        spec, g, caches[pos], w, pos > 0
+                    )
+            except NumericError as exc:
+                raise NumericError(f"layer {pos} ({base or spec.kind}) backward: {exc}") from None
             caches[pos] = None
         return grads
 

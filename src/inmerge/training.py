@@ -158,11 +158,18 @@ def _batch_loss(model: Model, logits: np.ndarray, labels: np.ndarray):
     return sigmoid_bce_loss(logits, labels)
 
 
-def _check_head(arch: ArchConfig, data: DatasetHandle) -> None:
+def check_head(arch: ArchConfig, data: DatasetHandle) -> None:
+    """Raise ConfigError unless the model's head and input shape fit the
+    dataset's task, class count and (channels, height, width)."""
     if arch.head != data.task or arch.num_classes != data.num_classes:
         raise ConfigError(
             f"model head {arch.head}/{arch.num_classes} does not match "
             f"dataset {data.task}/{data.num_classes}"
+        )
+    model_shape, data_shape = tuple(arch.input_shape), (data.channels, data.height, data.width)
+    if model_shape != data_shape:
+        raise ConfigError(
+            f"model input shape {model_shape} does not match dataset images {data_shape}"
         )
 
 
@@ -180,7 +187,7 @@ def train_epoch(
     seeds plus the epoch index."""
     if phase not in PHASES:
         raise ConfigError(f"phase must be one of {PHASES}, got {phase!r}")
-    _check_head(model.arch, data)
+    check_head(model.arch, data)
     split = data.splits["train"]
     if len(split) == 0:
         raise DataError("train split is empty")
@@ -231,7 +238,7 @@ def evaluate(model: Model, data: DatasetHandle, split_name: str = "val") -> Metr
     Multiclass: loss + accuracy. Multilabel: loss + per-class AUROC and
     their mean over the classes where it is defined.
     """
-    _check_head(model.arch, data)
+    check_head(model.arch, data)
     if split_name not in data.splits:
         raise ConfigError(f"unknown split {split_name!r}")
     split = data.splits[split_name]
@@ -300,7 +307,7 @@ def run_protocol(
     """
     cfg.validate()
     arch.validate()
-    _check_head(arch, data)
+    check_head(arch, data)
     if any(len(data.splits[s]) == 0 for s in ("train", "val")):
         raise DataError("train and val splits must be non-empty")
     model = build_model(arch, cfg.seed)

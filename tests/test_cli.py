@@ -299,6 +299,30 @@ class TestUnreadablePaths:
         assert capsys.readouterr().err.startswith("data error:")
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+def test_image_shape_mismatch_exits_2_naming_both(tmp_path, capsys, command):
+    data_dir = tmp_path / "data32"
+    save_dataset(synth_make("striped_textures", 10, 2, 1, 32, 32, seed=21), data_dir)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, run_config(data_dir, out))
+    if command == "eval":
+        arch = ArchConfig(input_shape=(1, 28, 28), num_classes=2, preset="tiny_cnn")
+        model = build_model(arch, seed=0)
+        velocity = {k: np.zeros_like(v) for k, v in model.params.items()}
+        ckpt = tmp_path / "tiny.ckpt"
+        checkpoint.save(model, TrainState(0, velocity), (arch, TrainConfig()), ckpt)
+        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(data_dir), "--out", str(out)]
+    elif command == "ablate":
+        argv = ["ablate", "--config", str(cfg), "--axis", "p", "--values", "0.0",
+                "--seeds", "0", "--out", str(out)]
+    else:
+        argv = ["train", "--config", str(cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "(1, 28, 28)" in err and "(1, 32, 32)" in err
+    assert not out.exists()
+
+
 class TestAblateCommand:
     def test_p_axis_grid(self, dataset_dir, tmp_path, capsys):
         cfg = write_config(tmp_path, run_config(dataset_dir, tmp_path / "unused", seed=0))

@@ -163,6 +163,13 @@ class TestSynth:
         with pytest.raises(ConfigError):
             synth_make("gauss_blobs", 5, 2, 1, 8, 8, seed=0, label_noise=1.5)
 
+    @pytest.mark.parametrize(
+        "fractions", [(0.5, 0.5), (0.5, 0.25, 0.25, 0.0), (float("nan"), 0.5, 0.5)]
+    )
+    def test_split_fractions_are_three_finite_shares_of_one(self, fractions):
+        with pytest.raises(ConfigError, match="split_fractions"):
+            synth_make("gauss_blobs", 5, 2, 1, 8, 8, seed=0, split_fractions=fractions)
+
 
 class TestAugmentation:
     def test_prob_zero_is_identity(self):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import inmerge.model
 from inmerge.configio import decode
-from inmerge.errors import ConfigError, InmergeError, ShapeError
+from inmerge.errors import ConfigError, InmergeError, NumericError, ShapeError
 from inmerge.layers import conv_spec, dense_spec, flatten_spec, pool_spec, relu_spec
 from inmerge.model import ArchConfig, build_model, conv_layers, resolve_layers
 
@@ -265,3 +265,12 @@ def test_execution_order_is_invisible_from_outside(arch, n):
     assert set(grads) == set(want_grads) == set(model.params)
     for name, grad in grads.items():
         assert grad.tobytes() == want_grads[name].tobytes(), name
+
+
+def test_nan_weight_error_names_its_layer():
+    model = build_model(TINY, seed=0)
+    model.params["conv3.weight"][0, 0, 0, 0] = np.nan
+    x = np.random.default_rng(0).normal(size=(4, 1, 28, 28)).astype(np.float32)
+    with pytest.raises(NumericError) as info:
+        model.forward(x)
+    assert str(info.value) == "layer 7 (conv3) forward: conv2d_forward: non-finite values in result"
