@@ -21,15 +21,19 @@ types and out-of-range values exit 2, naming the key path (``configio``).
 Every content-bearing artifact is deterministic: re-running a command
 with the same config yields byte-identical files. Wall-clock timing goes
 to a separate ``run_meta.json`` that is excluded from that guarantee.
-``INMERGE_THREADS`` caps ablation worker parallelism (default 1). Every
-layer already spreads its batch over the cores (``layers.ShardPool``);
-ablation threads share that one pool, so ``INMERGE_THREADS`` > 1 shares
-the same cores rather than adding any.
+``ablate`` trains each seed's pretrain epochs once, since no merge
+setting touches them; each value's cell continues from its own copy and
+writes what ``train`` on the cell's config would. ``INMERGE_THREADS``
+caps ablation threads (default 1), over the seeds' pretraining, then
+over the cells. Every layer already spreads its batch over the cores
+(``layers.ShardPool``); ablation threads share that one pool, so
+``INMERGE_THREADS`` > 1 shares the same cores rather than adding any.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import os
 import shutil
@@ -53,10 +57,11 @@ from .training import (
     ProtocolResult,
     TrainConfig,
     TrainState,
+    _advance,
     check_head,
     evaluate,
-    predict_logits,
-    run_protocol,
+    evaluate_with_logits,
+    start_protocol,
     val_metric_of,
 )
 
@@ -128,10 +133,14 @@ def _save_best_checkpoint(result: ProtocolResult, arch, cfg, path: Path) -> None
     checkpoint.save(result.best_model, state, (arch, cfg), path)
 
 
-def _run_cell(arch, handle, cfg, out_dir: Path, data_dir: Path) -> ProtocolResult:
-    """Train once and write the full artifact set into ``out_dir``, which
-    the first checkpoint creates."""
-    result = run_protocol(arch, handle, cfg, checkpoint_path=out_dir / "last.ckpt")
+def _run_cell(arch, handle, cfg, out_dir: Path, data_dir: Path, start=None) -> ProtocolResult:
+    """Train from ``start`` (model, TrainState; default fresh) and write the
+    full artifact set into ``out_dir``, which the first checkpoint creates."""
+    model, state = start_protocol(arch, handle, cfg) if start is None else start
+    ckpt = out_dir / "last.ckpt"
+    if state.epochs_done == cfg.total_epochs:  # no epoch left to save this config
+        checkpoint.save(model, state, (arch, cfg), ckpt)
+    result = _advance(model, handle, arch, cfg, state, ckpt, None)
     echo = {"arch": asdict(arch), "data": {"dir": str(data_dir)}, "train": asdict(cfg)}
     _write_run_artifacts(out_dir, result, echo)
     shutil.copyfile(out_dir / "last.ckpt", out_dir / "final.ckpt")
@@ -164,19 +173,18 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model, _, _ = checkpoint.load(args.checkpoint)
     handle = load_dataset(args.data)
-    bundle = evaluate(model, handle, args.split)
+    bundle, logits = evaluate_with_logits(model, handle, args.split)
     print(_dump_json(bundle.to_record()), end="")
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "metrics.json").write_text(_dump_json(bundle.to_record()))
-        _write_roc_csvs(model, handle, args.split, out_dir)
+        _write_roc_csvs(logits, handle, args.split, out_dir)
     return 0
 
 
-def _write_roc_csvs(model, handle: DatasetHandle, split_name: str, out_dir: Path) -> None:
+def _write_roc_csvs(logits: np.ndarray, handle: DatasetHandle, split_name: str, out_dir: Path):
     split = handle.splits[split_name]
-    logits = predict_logits(model, split, handle)
     logits = logits.astype(np.float64)
     if handle.task == "multilabel":
         scores = sigmoid(logits)
@@ -289,21 +297,32 @@ def cmd_ablate(args) -> int:
         merge = replace(base_merge, seed=seed, **{field: value})
         return replace(rc.train, seed=seed, merge=merge)
 
-    jobs = [(value, seed) for value in values for seed in seeds]
+    cfgs = {(value, seed): cell_cfg(value, seed) for value in values for seed in seeds}
+    for (_, seed), cfg in cfgs.items():
+        cfg.validate()
+        # a seed's cells share its pretraining, which never merges, so nothing else may differ
+        assert replace(cfg, merge=None) == replace(cfgs[values[0], seed], merge=None)
+
+    def pretrain(seed: int):
+        cfg = cfgs[values[0], seed]
+        model, state = start_protocol(rc.arch, handle, cfg)
+        _advance(model, handle, rc.arch, cfg, state, None, cfg.epochs_pretrain)
+        return seed, (model, state)
 
     def run_one(job):
         value, seed = job
+        model, state = starts[seed]
         cell_dir = out_dir / f"{args.axis}_{value}" / f"seed_{seed}"
-        result = _run_cell(rc.arch, handle, cell_cfg(value, seed), cell_dir, Path(rc.data.dir))
+        start = (model.clone(), copy.deepcopy(state))
+        result = _run_cell(rc.arch, handle, cfgs[job], cell_dir, Path(rc.data.dir), start)
         test_bundle = evaluate(result.best_model, handle, "test")
         return job, val_metric_of(test_bundle, handle.task)
 
-    workers = min(_worker_count(), len(jobs))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = dict(pool.map(run_one, jobs))
-    else:
-        outcomes = dict(map(run_one, jobs))
+    workers = _worker_count()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pool_map = pool.map if workers > 1 else map  # one worker runs here, on no new thread
+        starts = dict(pool_map(pretrain, seeds))
+        outcomes = dict(pool_map(run_one, list(cfgs)))
 
     metric_name = "accuracy" if handle.task == "multiclass" else "mean_auroc"
     with open(out_dir / "cells.csv", "w") as fh:

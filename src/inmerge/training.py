@@ -215,14 +215,14 @@ def train_epoch(
         y = split.labels[ids]
         if merge_rng is not None:
             reports.append(inmerge_sweep(model, cfg.merge, merge_rng))
-        logits, caches = model.forward(xb, want_caches=True)
         try:
+            logits, caches = model.forward(xb, want_caches=True)
             loss, grad = _batch_loss(model, logits, y)
+            if not np.isfinite(loss):
+                raise NumericError("non-finite loss")
+            grads = model.backward(grad, caches)
         except NumericError as exc:
             raise NumericError(f"epoch {epoch} batch {b_idx}: {exc}") from None
-        if not np.isfinite(loss):
-            raise NumericError(f"non-finite loss at epoch {epoch} batch {b_idx}")
-        grads = model.backward(grad, caches)
         sgd_step(model.params, grads, velocity, lr, cfg.momentum, cfg.weight_decay)
         # free this batch's arrays before the next batch's forward pass
         del x, xb, logits, caches, grad, grads
@@ -238,6 +238,11 @@ def evaluate(model: Model, data: DatasetHandle, split_name: str = "val") -> Metr
     Multiclass: loss + accuracy. Multilabel: loss + per-class AUROC and
     their mean over the classes where it is defined.
     """
+    return evaluate_with_logits(model, data, split_name)[0]
+
+
+def evaluate_with_logits(model: Model, data: DatasetHandle, split_name: str = "val"):
+    """``evaluate`` and the split's logits it was computed from."""
     check_head(model.arch, data)
     if split_name not in data.splits:
         raise ConfigError(f"unknown split {split_name!r}")
@@ -255,7 +260,7 @@ def evaluate(model: Model, data: DatasetHandle, split_name: str = "val") -> Metr
         bundle.per_class_auroc = values
         bundle.absent_classes = absent
         bundle.mean_auroc = mean_auroc(values)
-    return bundle
+    return bundle, logits
 
 
 def predict_logits(model: Model, split: Split, data: DatasetHandle) -> np.ndarray:
@@ -305,6 +310,12 @@ def run_protocol(
     epochs this call executes (for budgeted or deliberately interrupted
     runs); the returned result then reflects the partial run.
     """
+    model, state = start_protocol(arch, data, cfg)
+    return _advance(model, data, arch, cfg, state, checkpoint_path, max_epochs)
+
+
+def start_protocol(arch: ArchConfig, data: DatasetHandle, cfg: TrainConfig):
+    """Check the configs and data; the fresh (model, TrainState) a run starts from."""
     cfg.validate()
     arch.validate()
     check_head(arch, data)
@@ -315,7 +326,7 @@ def run_protocol(
         epochs_done=0,
         velocity={k: np.zeros_like(v) for k, v in model.params.items()},
     )
-    return _advance(model, data, arch, cfg, state, checkpoint_path, max_epochs)
+    return model, state
 
 
 def resume_protocol(

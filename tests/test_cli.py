@@ -11,8 +11,9 @@ import pytest
 from inmerge import checkpoint, synth_make
 from inmerge.cli import main
 from inmerge.data import save_dataset
+from inmerge.data import load_dataset
 from inmerge.layers import conv_spec, dense_spec, flatten_spec
-from inmerge.model import ArchConfig, build_model
+from inmerge.model import ArchConfig, Model, build_model
 from inmerge.training import TrainConfig, TrainState
 
 
@@ -53,6 +54,15 @@ def write_config(tmp_path, doc, name="run.json"):
 
 CONTENT_FILES = ("config_echo.json", "train_log.jsonl", "merge_reports.jsonl",
                  "final.ckpt", "best.ckpt")
+
+
+def tree_bytes(root):
+    """Every file under ``root`` but ``run_meta.json``, by relative path."""
+    return {
+        str(p.relative_to(root)): p.read_bytes()
+        for p in root.rglob("*")
+        if p.is_file() and p.name != "run_meta.json"
+    }
 
 
 class TestTrainCommand:
@@ -217,6 +227,22 @@ class TestEvalCommand:
             for line in path.read_text().splitlines()[1:]:
                 threshold, fpr, tpr = (float(cell) for cell in line.split(","))
                 assert 0.0 <= fpr <= 1.0 and 0.0 <= tpr <= 1.0
+
+    def test_out_flag_runs_one_forward_pass(self, dataset_dir, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path, run_config(dataset_dir, tmp_path / "run5", seed=9))
+        assert main(["train", "--config", str(cfg)]) == 0
+        forward, batches = Model.forward, []
+
+        def counting_forward(self, x, *args, **kwargs):
+            batches.append(len(x))
+            return forward(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(Model, "forward", counting_forward)
+        assert main([
+            "eval", "--checkpoint", str(tmp_path / "run5" / "best.ckpt"),
+            "--data", str(dataset_dir), "--split", "test", "--out", str(tmp_path / "evalout"),
+        ]) == 0
+        assert batches == [len(load_dataset(dataset_dir).splits["test"])]
 
     def test_eval_never_mutates_checkpoint(self, dataset_dir, tmp_path, capsys):
         cfg = write_config(tmp_path, run_config(dataset_dir, tmp_path / "run4", seed=8))
@@ -384,6 +410,47 @@ class TestAblateCommand:
             "--values", "0.8,1.0", "--seeds", "1", "--out", str(out_par),
         ]) == 0
         assert (out_serial / "summary.csv").read_text() == (out_par / "summary.csv").read_text()
+
+    def test_every_file_is_the_same_on_two_threads(
+        self, dataset_dir, tmp_path, capsys, monkeypatch
+    ):
+        cfg = write_config(tmp_path, run_config(dataset_dir, tmp_path / "unused", seed=0))
+        trees = []
+        for threads in (None, "2"):
+            if threads is None:
+                monkeypatch.delenv("INMERGE_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("INMERGE_THREADS", threads)
+            out = tmp_path / f"threads_{threads}"
+            assert main([
+                "ablate", "--config", str(cfg), "--axis", "p",
+                "--values", "0.0,1.0", "--seeds", "1,2", "--out", str(out),
+            ]) == 0
+            trees.append(tree_bytes(out))
+        assert len(trees[0]) == 2 + 4 * len(CONTENT_FILES + ("last.ckpt",))
+        assert trees[0] == trees[1]
+
+    @pytest.mark.parametrize("epochs", [(1, 1), (0, 1), (1, 0)])
+    def test_cells_equal_separate_train_runs(self, dataset_dir, tmp_path, capsys, epochs):
+        """A grid trains each seed's pretrain epochs once, yet every cell
+        holds, file for file, what ``train`` on the cell's config writes."""
+        doc = run_config(dataset_dir, tmp_path / "unused", seed=0, epochs=epochs)
+        out = tmp_path / "grid"
+        assert main([
+            "ablate", "--config", str(write_config(tmp_path, doc)), "--axis", "p",
+            "--values", "0.0,1.0", "--seeds", "5,6", "--out", str(out),
+        ]) == 0
+        for value in (0.0, 1.0):
+            for seed in (5, 6):
+                alone = tmp_path / f"alone_p{value}_seed{seed}"
+                cell_doc = run_config(dataset_dir, alone, seed=seed, epochs=epochs)
+                cell_doc["merge"]["merge_prob"] = value
+                assert main(["train", "--config", str(write_config(tmp_path, cell_doc))]) == 0
+                cell = out / f"p_{value}" / f"seed_{seed}"
+                assert tree_bytes(cell) == tree_bytes(alone), cell
+                if epochs[1] == 0:  # the cell trained no epoch of its own
+                    _, _, (_, cfg) = checkpoint.load(cell / "last.ckpt")
+                    assert cfg.merge.merge_prob == value
 
     def test_invalid_axis_and_values(self, dataset_dir, tmp_path, capsys):
         cfg = write_config(tmp_path, run_config(dataset_dir, tmp_path / "unused"))

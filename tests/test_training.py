@@ -7,6 +7,7 @@ import pytest
 from inmerge import MergeConfig, synth_make
 from inmerge.data import DatasetHandle, Split
 from inmerge.errors import ConfigError, DataError, NumericError
+from inmerge import training
 from inmerge.model import ArchConfig, build_model
 from inmerge.training import (
     TrainConfig,
@@ -148,6 +149,36 @@ class TestTrainEpoch:
         with np.errstate(over="ignore"), pytest.raises(NumericError):
             for e in range(5):
                 train_epoch(model, data, cfg, "pretrain", e, vel)
+
+    def test_layer_error_in_forward_names_epoch_and_batch(self):
+        data = small_data()
+        model = build_model(TINY, 0)
+        model.params["conv1.weight"][0, 0, 0, 0] = np.nan
+        vel = {k: np.zeros_like(v) for k, v in model.params.items()}
+        with pytest.raises(NumericError) as info:
+            train_epoch(model, data, TrainConfig(batch_size=16, seed=0), "pretrain", 2, vel)
+        assert str(info.value) == (
+            "epoch 2 batch 0: layer 2 (conv1) forward: conv2d_forward: non-finite values in result"
+        )
+
+    def test_layer_error_in_backward_names_epoch_and_batch(self, monkeypatch):
+        real = training._batch_loss
+        calls = []
+
+        def nan_grad_from_second_batch(model, logits, labels):
+            calls.append(len(logits))
+            loss, grad = real(model, logits, labels)
+            return loss, grad if len(calls) < 2 else np.full_like(grad, np.nan)
+
+        monkeypatch.setattr(training, "_batch_loss", nan_grad_from_second_batch)
+        data = small_data()
+        model = build_model(TINY, 0)
+        vel = {k: np.zeros_like(v) for k, v in model.params.items()}
+        with pytest.raises(NumericError) as info:
+            train_epoch(model, data, TrainConfig(batch_size=16, seed=0), "pretrain", 1, vel)
+        assert str(info.value) == (
+            "epoch 1 batch 1: layer 16 (dense0) backward: dense_backward: non-finite values in result"
+        )
 
 
 class TestEvaluate:
