@@ -74,7 +74,6 @@ from .training import (
     EpochRecord,
     ProtocolResult,
     TrainConfig,
-    TrainLog,
     evaluate,
     lr_at,
     resume_protocol,

@@ -16,8 +16,8 @@ Tensor names are namespaced: ``param/<name>`` for model parameters
 The RNG position is just the next epoch index: all training streams are
 derived per epoch (see ``seeding``), so an epoch boundary fully
 determines every generator. ``load`` refuses, as a corrupt header, any
-format other than ``FORMAT_VERSION`` and any RNG position other than
-``RNG_SCHEME`` at the epochs done. Files are written via temp file +
+format but ``FORMAT_VERSION``, an arch that does not build and a run state
+that ``Trailer.validate`` rejects. Files are written via temp file +
 rename, so readers never observe a half-written checkpoint.
 """
 
@@ -34,8 +34,10 @@ import numpy as np
 
 from .configio import decode
 from .errors import (
+    ConfigError,
     CorruptHeaderError,
     HeaderLayoutError,
+    ShapeError,
     TruncatedFileError,
     UnknownDtypeError,
 )
@@ -89,6 +91,19 @@ class Trailer:
     configs: TrailerConfigs
     state: TrailerState
     rng: RngPosition
+
+    def validate(self) -> None:
+        """Raise ConfigError unless the run state fits itself and the run config."""
+        st, total = self.state, self.configs.train.total_epochs
+        done, best = st.epochs_done, st.best_epoch
+        if self.rng != RngPosition(RNG_SCHEME, done):
+            raise ConfigError(f"RNG position {asdict(self.rng)} != {RNG_SCHEME!r} at epochs_done")
+        if not -1 <= best < done <= total:
+            raise ConfigError(f"need -1 <= best_epoch {best} < epochs_done {done} <= {total}")
+        if (st.best_metric is None) != (best == -1):
+            raise ConfigError(f"best_metric {st.best_metric} does not fit best_epoch {best}")
+        if len(st.records) > done or any(r.epoch != i for i, r in enumerate(st.records)):
+            raise ConfigError(f"records must hold epochs 0, 1, ... and at most {done}")
 
 
 def save(
@@ -194,13 +209,11 @@ def load(path: str | Path) -> tuple[Model, TrainState, tuple[ArchConfig, TrainCo
         Trailer, blob[payload_start + payload_bytes :], CorruptHeaderError,
         f"{path}: unreadable trailer",
     )
-    if trailer.rng != RngPosition(RNG_SCHEME, trailer.state.epochs_done):
-        raise CorruptHeaderError(
-            f"{path}: RNG position {asdict(trailer.rng)} != {RNG_SCHEME!r} at epochs_done"
-        )
     arch, train_cfg = trailer.configs.arch, trailer.configs.train
-
-    model = build_model(arch, train_cfg.seed)
+    try:
+        model = build_model(arch, train_cfg.seed)
+    except (ConfigError, ShapeError) as exc:
+        raise CorruptHeaderError(f"{path}: trailer arch does not build: {exc}") from None
     namespaces = ["param", "momentum"]
     if any(n.startswith("best/") for n in entries):
         namespaces.append("best")

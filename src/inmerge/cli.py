@@ -56,9 +56,9 @@ from .tensor import log_softmax, sigmoid
 from .training import (
     ProtocolResult,
     TrainConfig,
-    TrainState,
     _advance,
     check_head,
+    check_merge,
     evaluate,
     evaluate_with_logits,
     start_protocol,
@@ -119,32 +119,20 @@ def _write_run_artifacts(out_dir: Path, result: ProtocolResult, echo: dict) -> N
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def _save_best_checkpoint(result: ProtocolResult, arch, cfg, path: Path) -> None:
-    # Evaluation/analysis artifact: best-epoch weights with a fresh
-    # optimizer state. Resume from it is not meaningful; use last/final.
-    state = TrainState(
-        epochs_done=cfg.total_epochs,
-        velocity={k: np.zeros_like(v) for k, v in result.best_model.params.items()},
-        best_epoch=result.log.best_epoch,
-        best_metric=result.log.best_metric,
-        best_params=None,
-        records=list(result.log.records),
-    )
-    checkpoint.save(result.best_model, state, (arch, cfg), path)
-
-
-def _run_cell(arch, handle, cfg, out_dir: Path, data_dir: Path, start=None) -> ProtocolResult:
-    """Train from ``start`` (model, TrainState; default fresh) and write the
-    full artifact set into ``out_dir``, which the first checkpoint creates."""
-    model, state = start_protocol(arch, handle, cfg) if start is None else start
+def _run_cell(start, handle, cfg, out_dir: Path, data_dir: Path) -> ProtocolResult:
+    """Continue ``start`` (model, TrainState) under ``cfg``; write every artifact
+    into ``out_dir``. ``best.ckpt`` has zero velocity: evaluate it, resume from last."""
+    model, state = start
     ckpt = out_dir / "last.ckpt"
     if state.epochs_done == cfg.total_epochs:  # no epoch left to save this config
-        checkpoint.save(model, state, (arch, cfg), ckpt)
-    result = _advance(model, handle, arch, cfg, state, ckpt, None)
-    echo = {"arch": asdict(arch), "data": {"dir": str(data_dir)}, "train": asdict(cfg)}
+        checkpoint.save(model, state, (model.arch, cfg), ckpt)
+    result = _advance(model, handle, cfg, state, ckpt, None)
+    echo = {"arch": asdict(model.arch), "data": {"dir": str(data_dir)}, "train": asdict(cfg)}
     _write_run_artifacts(out_dir, result, echo)
     shutil.copyfile(out_dir / "last.ckpt", out_dir / "final.ckpt")
-    _save_best_checkpoint(result, arch, cfg, out_dir / "best.ckpt")
+    velocity = {k: np.zeros_like(v) for k, v in result.best_model.params.items()}
+    best_state = replace(result.log, velocity=velocity, best_params=None)
+    checkpoint.save(result.best_model, best_state, (model.arch, cfg), out_dir / "best.ckpt")
     return result
 
 
@@ -157,7 +145,8 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out or rc.output)
     handle = load_dataset(rc.data.dir)
     started = time.time()
-    result = _run_cell(rc.arch, handle, rc.train, out_dir, Path(rc.data.dir))
+    start = start_protocol(rc.arch, handle, rc.train)
+    result = _run_cell(start, handle, rc.train, out_dir, Path(rc.data.dir))
     (out_dir / "run_meta.json").write_text(
         _dump_json({"started_unix": started, "duration_s": time.time() - started})
     )
@@ -288,8 +277,6 @@ def cmd_ablate(args) -> int:
     for name, split in handle.splits.items():  # each cell trains on train and val, then tests
         if len(split) == 0:
             raise DataError(f"{name} split is empty")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     base_merge = rc.train.merge if rc.train.merge is not None else MergeConfig()
     field = ABLATE_AXES[args.axis]
 
@@ -300,21 +287,23 @@ def cmd_ablate(args) -> int:
     cfgs = {(value, seed): cell_cfg(value, seed) for value in values for seed in seeds}
     for (_, seed), cfg in cfgs.items():
         cfg.validate()
+        check_merge(rc.arch, cfg)
         # a seed's cells share its pretraining, which never merges, so nothing else may differ
         assert replace(cfg, merge=None) == replace(cfgs[values[0], seed], merge=None)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     def pretrain(seed: int):
         cfg = cfgs[values[0], seed]
         model, state = start_protocol(rc.arch, handle, cfg)
-        _advance(model, handle, rc.arch, cfg, state, None, cfg.epochs_pretrain)
+        _advance(model, handle, cfg, state, None, cfg.epochs_pretrain)
         return seed, (model, state)
 
     def run_one(job):
         value, seed = job
-        model, state = starts[seed]
         cell_dir = out_dir / f"{args.axis}_{value}" / f"seed_{seed}"
-        start = (model.clone(), copy.deepcopy(state))
-        result = _run_cell(rc.arch, handle, cfgs[job], cell_dir, Path(rc.data.dir), start)
+        start = copy.deepcopy(starts[seed])  # this cell's own (model, state)
+        result = _run_cell(start, handle, cfgs[job], cell_dir, Path(rc.data.dir))
         test_bundle = evaluate(result.best_model, handle, "test")
         return job, val_metric_of(test_bundle, handle.task)
 

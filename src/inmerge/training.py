@@ -27,7 +27,7 @@ from .errors import ConfigError, DataError, NumericError, ShapeError
 from .layers import sigmoid_bce_loss, softmax_ce_loss
 from .merging import MergeConfig, MergeReport, inmerge_sweep
 from .metrics import MetricBundle, accuracy, mean_auroc, per_class_auroc
-from .model import ArchConfig, Model, build_model
+from .model import ArchConfig, Model, build_model, resolve_layers
 from .tensor import sigmoid
 
 PHASES = ("pretrain", "inmerge")
@@ -99,13 +99,6 @@ class EpochRecord:
 
 
 @dataclass
-class TrainLog:
-    records: list[EpochRecord] = field(default_factory=list)
-    best_epoch: int = -1
-    best_metric: float | None = None
-
-
-@dataclass
 class EpochStats:
     train_loss: float
     iterations: int
@@ -171,6 +164,13 @@ def check_head(arch: ArchConfig, data: DatasetHandle) -> None:
         raise ConfigError(
             f"model input shape {model_shape} does not match dataset images {data_shape}"
         )
+
+
+def check_merge(arch: ArchConfig, cfg: TrainConfig) -> None:
+    """Raise ConfigError if ``cfg`` has merge epochs but the model no conv layer."""
+    if cfg.merge is not None and cfg.epochs_inmerge > 0:
+        if all(spec.kind != "conv2d" for spec in resolve_layers(arch)):
+            raise ConfigError("merging needs a conv layer, but the model has none")
 
 
 def train_epoch(
@@ -289,9 +289,11 @@ class TrainState:
 
 @dataclass
 class ProtocolResult:
+    """A run's final and best-epoch models and its ``TrainState`` as ``log``."""
+
     model: Model  # final weights, all epochs applied
     best_model: Model  # weights of the best-validation epoch
-    log: TrainLog
+    log: TrainState  # records, best epoch and metric, as the last epoch left them
     # one record per sweep executed by THIS call (not carried across resume)
     sweep_records: list[dict] = field(default_factory=list)
 
@@ -311,7 +313,7 @@ def run_protocol(
     runs); the returned result then reflects the partial run.
     """
     model, state = start_protocol(arch, data, cfg)
-    return _advance(model, data, arch, cfg, state, checkpoint_path, max_epochs)
+    return _advance(model, data, cfg, state, checkpoint_path, max_epochs)
 
 
 def start_protocol(arch: ArchConfig, data: DatasetHandle, cfg: TrainConfig):
@@ -319,6 +321,7 @@ def start_protocol(arch: ArchConfig, data: DatasetHandle, cfg: TrainConfig):
     cfg.validate()
     arch.validate()
     check_head(arch, data)
+    check_merge(arch, cfg)
     if any(len(data.splits[s]) == 0 for s in ("train", "val")):
         raise DataError("train and val splits must be non-empty")
     model = build_model(arch, cfg.seed)
@@ -337,11 +340,11 @@ def resume_protocol(
     interrupted."""
     from .checkpoint import load  # local import to avoid a cycle
 
-    model, state, (arch, cfg) = load(checkpoint_path)
-    return _advance(model, data, arch, cfg, state, checkpoint_path, max_epochs)
+    model, state, (_, cfg) = load(checkpoint_path)
+    return _advance(model, data, cfg, state, checkpoint_path, max_epochs)
 
 
-def _advance(model, data, arch, cfg, state, checkpoint_path, max_epochs) -> ProtocolResult:
+def _advance(model, data, cfg, state, checkpoint_path, max_epochs) -> ProtocolResult:
     from .checkpoint import save  # local import to avoid a cycle
 
     stop = cfg.total_epochs
@@ -376,16 +379,11 @@ def _advance(model, data, arch, cfg, state, checkpoint_path, max_epochs) -> Prot
         )
         state.epochs_done = epoch + 1
         if checkpoint_path is not None:
-            save(model, state, (arch, cfg), checkpoint_path)
+            save(model, state, (model.arch, cfg), checkpoint_path)
     best_model = model.clone()
     if state.best_params is not None:
         for k, v in state.best_params.items():
             best_model.params[k][...] = v
-    log = TrainLog(
-        records=list(state.records),
-        best_epoch=state.best_epoch,
-        best_metric=state.best_metric,
-    )
     return ProtocolResult(
-        model=model, best_model=best_model, log=log, sweep_records=sweep_records
+        model=model, best_model=best_model, log=state, sweep_records=sweep_records
     )

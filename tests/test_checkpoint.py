@@ -51,6 +51,21 @@ def write_checkpoint_with_best(tmp_path, short_bias_in=None):
     return path
 
 
+def set_state(**fields):
+    """A trailer edit that sets run-state fields, keeping the RNG position
+    at the epochs done."""
+
+    def mutate(trailer):
+        trailer["state"].update(fields)
+        trailer["rng"]["next_epoch"] = trailer["state"]["epochs_done"]
+
+    return mutate
+
+
+def set_arch(**fields):
+    return lambda trailer: trailer["configs"]["arch"].update(fields)
+
+
 class TestRoundtrip:
     def test_fresh_model_roundtrips_bit_exactly(self, tmp_path):
         model, cfg, path = write_checkpoint(tmp_path)
@@ -237,6 +252,19 @@ class TestCorruptionDetection:
         self._rewrite_trailer(path, lambda trailer: trailer["rng"].update(next_epoch=2))
         with pytest.raises(CorruptHeaderError, match="RNG position"):
             load(path)
+
+    @pytest.mark.parametrize("command", ["eval", "analyze"])
+    @pytest.mark.parametrize("mutate", [
+        set_state(epochs_done=26),  # the config trains 25 epochs
+        set_arch(input_shape=[1, 27, 27]),
+    ], ids=["done-past-total", "tiny_cnn-at-27"])
+    def test_bad_trailer_exits_3_naming_the_file(self, tmp_path, capsys, command, mutate):
+        _, _, path = write_checkpoint(tmp_path)
+        self._rewrite_trailer(path, mutate)
+        extra = ["--data", str(tmp_path / "nodata")] if command == "eval" else ["--layer", "0"]
+        assert main([command, "--checkpoint", str(path), *extra]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(path) in err
 
     def test_unknown_format_exits_3(self, tmp_path, capsys):
         _, _, path = write_checkpoint(tmp_path)

@@ -349,6 +349,28 @@ def test_image_shape_mismatch_exits_2_naming_both(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_merge_without_conv_layer_exits_2_before_training(
+    dataset_dir, tmp_path, capsys, command
+):
+    out = tmp_path / "out"
+    doc = run_config(dataset_dir, out)
+    doc["arch"] = {
+        "input_shape": [1, 28, 28],
+        "num_classes": 2,
+        "layers": [{"kind": "flatten"}, {"kind": "dense", "in_features": 784, "out_features": 2}],
+    }
+    cfg = write_config(tmp_path, doc)
+    argv = ["train", "--config", str(cfg)]
+    if command == "ablate":
+        argv = ["ablate", "--config", str(cfg), "--axis", "p", "--values", "0.5",
+                "--seeds", "0", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "conv layer" in err
+    assert not out.exists()
+
+
 class TestAblateCommand:
     def test_p_axis_grid(self, dataset_dir, tmp_path, capsys):
         cfg = write_config(tmp_path, run_config(dataset_dir, tmp_path / "unused", seed=0))

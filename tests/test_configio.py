@@ -8,7 +8,7 @@ import json
 import math
 import struct
 import types
-from dataclasses import asdict, fields, is_dataclass
+from dataclasses import asdict, fields, is_dataclass, replace
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -45,6 +45,11 @@ LAYERS_WITH_STRIDE_1_5 = {
         {"kind": "dense", "in_features": 2 * 26 * 26, "out_features": 2},
     ],
 }
+UNCHAINED_LAYERS = [  # a 3-channel conv on 1-channel images
+    {"kind": "conv2d", "out_channels": 2, "in_channels": 3, "kernel_h": 3, "kernel_w": 3},
+    {"kind": "flatten"},
+    {"kind": "dense", "in_features": 2 * 26 * 26, "out_features": 2},
+]
 RECORD = EpochRecord(
     epoch=0, phase="pretrain", lr=0.01, train_loss=0.69, val_loss=0.7, val_metric=0.5,
     merge_sweeps=0, merge_draws=0, merge_applied=0, is_best=True,
@@ -133,6 +138,11 @@ def write_mutated(files, tmp_path, kind, mutate):
     return WRITERS[kind](files, tmp_path, doc)
 
 
+def at_epochs_done(n):
+    """Mutation setting a trailer's epochs done, with the RNG position at it."""
+    return lambda doc: (put("state.epochs_done", n)(doc), put("rng.next_epoch", n)(doc))
+
+
 def run_case(files, path):
     return load_run_config, ConfigError, ["train", "--config", str(path)], 2
 
@@ -168,6 +178,31 @@ REGRESSIONS = {
         "state.records[0].train_loss",
     ),
     "trailer-best_metric-string": ("trailer", put("state.best_metric", "x"), "state.best_metric"),
+    # the run state must fit itself and the config, which trains 2 epochs
+    "trailer-epochs_done-past-total": ("trailer", at_epochs_done(7), "epochs_done 7"),
+    "trailer-epochs_done-negative": ("trailer", at_epochs_done(-1), "epochs_done -1"),
+    "trailer-best_epoch-not-done": ("trailer", put("state.best_epoch", 99), "best_epoch 99"),
+    "trailer-best_epoch-below-minus-1": ("trailer", put("state.best_epoch", -2), "best_epoch -2"),
+    "trailer-best_metric-without-best": (
+        "trailer", put("state.best_epoch", -1), "best_metric 0.5 does not fit"
+    ),
+    "trailer-best-without-best_metric": (
+        "trailer", put("state.best_metric", None), "best_metric None does not fit"
+    ),
+    "trailer-records-past-epochs_done": (
+        "trailer", lambda t: t["state"]["records"].append(asdict(replace(RECORD, epoch=1))),
+        "records",
+    ),
+    "trailer-record-epoch-out-of-place": (
+        "trailer", put("state.records", [asdict(replace(RECORD, epoch=1))]), "records"
+    ),
+    "trailer-arch-does-not-build": (
+        "trailer", put("configs.arch.input_shape", [1, 27, 27]), "arch does not build"
+    ),
+    "trailer-layers-do-not-chain": (
+        "trailer", put("configs.arch", {**LAYERS_WITH_STRIDE_1_5, "layers": UNCHAINED_LAYERS}),
+        "arch does not build",
+    ),
 }
 WRITERS = {"run": write_run, "meta": write_meta, "trailer": write_trailer}
 CASES = {"run": run_case, "meta": meta_case, "trailer": trailer_case}
