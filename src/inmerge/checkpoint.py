@@ -37,7 +37,6 @@ from .errors import (
     ConfigError,
     CorruptHeaderError,
     HeaderLayoutError,
-    ShapeError,
     TruncatedFileError,
     UnknownDtypeError,
 )
@@ -212,7 +211,7 @@ def load(path: str | Path) -> tuple[Model, TrainState, tuple[ArchConfig, TrainCo
     arch, train_cfg = trailer.configs.arch, trailer.configs.train
     try:
         model = build_model(arch, train_cfg.seed)
-    except (ConfigError, ShapeError) as exc:
+    except ConfigError as exc:
         raise CorruptHeaderError(f"{path}: trailer arch does not build: {exc}") from None
     namespaces = ["param", "momentum"]
     if any(n.startswith("best/") for n in entries):

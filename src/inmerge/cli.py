@@ -7,8 +7,9 @@ Commands:
     inmerge analyze --checkpoint PATH --layer N [--out DIR]
     inmerge ablate  --config run.json --axis NAME --values CSV --seeds CSV --out DIR
 
-Exit codes: 0 success, 2 config error, 3 data error (including a path
-that cannot be read), 4 numeric failure.
+Exit codes: 0 success, 2 config error (a ``ConfigError``), 3 data error
+(a ``DataError``, a ``CheckpointError`` or a path that cannot be read), 4
+numeric failure (a ``NumericError``); every engine error is one of these.
 
 A run config (``RunDoc``) is a JSON object with the keys "arch"
 (ArchConfig fields; "layers" is a list of LayerSpec fields), "data"
@@ -21,13 +22,15 @@ types and out-of-range values exit 2, naming the key path (``configio``).
 Every content-bearing artifact is deterministic: re-running a command
 with the same config yields byte-identical files. Wall-clock timing goes
 to a separate ``run_meta.json`` that is excluded from that guarantee.
-``ablate`` trains each seed's pretrain epochs once, since no merge
-setting touches them; each value's cell continues from its own copy and
-writes what ``train`` on the cell's config would. ``INMERGE_THREADS``
-caps ablation threads (default 1), over the seeds' pretraining, then
-over the cells. Every layer already spreads its batch over the cores
-(``layers.ShardPool``); ablation threads share that one pool, so
-``INMERGE_THREADS`` > 1 shares the same cores rather than adding any.
+``ablate`` passes every cell's config through ``training.check_run``,
+test split included, before it creates ``--out``. It trains each seed's
+pretrain epochs once, since no merge setting touches them; each value's
+cell continues from its own copy and writes what ``train`` on the cell's
+config would. ``INMERGE_THREADS`` caps ablation threads (default 1),
+over the seeds' pretraining, then over the cells. Every layer already
+spreads its batch over the cores (``layers.ShardPool``); ablation
+threads share that one pool, so ``INMERGE_THREADS`` > 1 shares the same
+cores rather than adding any.
 """
 
 from __future__ import annotations
@@ -42,13 +45,14 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from . import checkpoint
 from .configio import decode
 from .data import DatasetHandle, load_dataset
-from .errors import CheckpointError, ConfigError, DataError, InmergeError, NumericError
+from .errors import CheckpointError, ConfigError, DataError, NumericError
 from .merging import MergeConfig, similarity_stats
 from .metrics import roc_points
 from .model import ArchConfig
@@ -57,8 +61,7 @@ from .training import (
     ProtocolResult,
     TrainConfig,
     _advance,
-    check_head,
-    check_merge,
+    check_run,
     evaluate,
     evaluate_with_logits,
     start_protocol,
@@ -229,19 +232,12 @@ def _parse_values(axis: str, text: str) -> list:
     tokens = [t for t in text.split(",") if t.strip()]
     if not tokens:
         raise ConfigError("--values must list at least one value")
+    kind = get_type_hints(MergeConfig)[ABLATE_AXES[axis]]  # the range is check_run's
+    parse = boolish if kind is bool else kind
     try:
-        if axis in ("alpha", "p", "tau"):
-            values = [float(t) for t in tokens]
-        elif axis == "l_s":
-            values = [int(t) for t in tokens]
-        else:
-            values = [boolish(t) for t in tokens]
+        return [parse(t) for t in tokens]
     except ValueError as exc:
         raise ConfigError(f"--values: {exc}") from None
-    for v in values:
-        probe = replace(MergeConfig(), **{ABLATE_AXES[axis]: v})
-        probe.validate()
-    return values
 
 
 def _worker_count() -> int:
@@ -273,10 +269,6 @@ def cmd_ablate(args) -> int:
 
     rc = load_run_config(args.config)
     handle = load_dataset(rc.data.dir)
-    check_head(rc.arch, handle)  # before any cell directory is made
-    for name, split in handle.splits.items():  # each cell trains on train and val, then tests
-        if len(split) == 0:
-            raise DataError(f"{name} split is empty")
     base_merge = rc.train.merge if rc.train.merge is not None else MergeConfig()
     field = ABLATE_AXES[args.axis]
 
@@ -286,8 +278,7 @@ def cmd_ablate(args) -> int:
 
     cfgs = {(value, seed): cell_cfg(value, seed) for value in values for seed in seeds}
     for (_, seed), cfg in cfgs.items():
-        cfg.validate()
-        check_merge(rc.arch, cfg)
+        check_run(rc.arch, handle, cfg, scored=("val", "test"))  # before --out is made
         # a seed's cells share its pretraining, which never merges, so nothing else may differ
         assert replace(cfg, merge=None) == replace(cfgs[values[0], seed], merge=None)
     out_dir = Path(args.out)
@@ -382,9 +373,6 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
-    except InmergeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

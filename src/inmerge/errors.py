@@ -9,10 +9,6 @@ class InmergeError(Exception):
     """Base class for every error raised by this package."""
 
 
-class ShapeError(InmergeError, ValueError):
-    """Operand shapes are inconsistent with an operation's contract."""
-
-
 class NumericError(InmergeError, ArithmeticError):
     """A numeric contract was violated (e.g. NaN/Inf where finite values
     are required, or a zero-norm vector fed to a direction metric)."""
@@ -20,6 +16,10 @@ class NumericError(InmergeError, ArithmeticError):
 
 class ConfigError(InmergeError, ValueError):
     """A configuration value, document, or preset is invalid."""
+
+
+class ShapeError(ConfigError):
+    """Operand shapes are inconsistent with an operation's contract."""
 
 
 class DataError(InmergeError, ValueError):
@@ -38,7 +38,7 @@ class LabelDomainError(DataError):
     """A label value lies outside its declared domain."""
 
 
-class UndefinedMetricError(InmergeError, ValueError):
+class UndefinedMetricError(DataError):
     """A metric is undefined for the given inputs (e.g. AUROC on a
     single-class label vector)."""
 

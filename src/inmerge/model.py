@@ -27,6 +27,7 @@ Any other stack can be expressed as an explicit LayerSpec list.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -301,13 +302,7 @@ class Model:
         return names
 
     def clone(self) -> "Model":
-        return Model(
-            arch=self.arch,
-            layers=list(self.layers),
-            params={k: v.copy() for k, v in self.params.items()},
-            conv_index=dict(self.conv_index),
-            _names=list(self._names),
-        )
+        return copy.deepcopy(self)
 
     # -- forward / backward -------------------------------------------------
 

@@ -8,6 +8,10 @@ epoch count. Validation happens every epoch; the earliest epoch with the
 strictly best validation metric is kept as the "best" model. Evaluation
 never merges and never mutates.
 
+``check_run`` is the one rule for whether a run may start: a fresh run
+(``start_protocol``), a resumed one (``resume_protocol``) and every cell
+of an ablation grid (``cli``) pass it before their first epoch.
+
 Randomness per epoch comes from separate (seed, purpose, epoch) streams
 (see ``seeding``), so a run resumed from an epoch-boundary checkpoint is
 bit-identical to an uninterrupted one, and turning merging on or off
@@ -23,7 +27,7 @@ import numpy as np
 
 from . import seeding
 from .data import DatasetHandle, Split, apply_flip, batch_iter, normalize
-from .errors import ConfigError, DataError, NumericError, ShapeError
+from .errors import ConfigError, DataError, NumericError, ShapeError, UndefinedMetricError
 from .layers import sigmoid_bce_loss, softmax_ce_loss
 from .merging import MergeConfig, MergeReport, inmerge_sweep
 from .metrics import MetricBundle, accuracy, mean_auroc, per_class_auroc
@@ -166,11 +170,26 @@ def check_head(arch: ArchConfig, data: DatasetHandle) -> None:
         )
 
 
-def check_merge(arch: ArchConfig, cfg: TrainConfig) -> None:
-    """Raise ConfigError if ``cfg`` has merge epochs but the model no conv layer."""
+def check_run(arch: ArchConfig, data: DatasetHandle, cfg: TrainConfig, scored=("val",)) -> None:
+    """The rule for starting a run: raise ConfigError unless both configs are
+    valid, the model fits the dataset (``check_head``) and has a conv layer
+    when ``cfg`` has merge epochs; raise DataError unless the train split and
+    every ``scored`` split are non-empty and each scored split has a metric."""
+    cfg.validate()
+    arch.validate()
+    check_head(arch, data)
     if cfg.merge is not None and cfg.epochs_inmerge > 0:
         if all(spec.kind != "conv2d" for spec in resolve_layers(arch)):
             raise ConfigError("merging needs a conv layer, but the model has none")
+    for name in ("train", *scored):
+        labels = data.splits[name].labels
+        if len(labels) == 0:
+            raise DataError(f"{name} split is empty")
+        if name in scored and data.task == "multilabel":
+            try:  # labels as scores: a class has an AUROC iff it has both label values
+                mean_auroc(per_class_auroc(labels, labels)[0])
+            except UndefinedMetricError as exc:
+                raise DataError(f"{name} split cannot be scored: {exc}") from None
 
 
 def train_epoch(
@@ -317,13 +336,8 @@ def run_protocol(
 
 
 def start_protocol(arch: ArchConfig, data: DatasetHandle, cfg: TrainConfig):
-    """Check the configs and data; the fresh (model, TrainState) a run starts from."""
-    cfg.validate()
-    arch.validate()
-    check_head(arch, data)
-    check_merge(arch, cfg)
-    if any(len(data.splits[s]) == 0 for s in ("train", "val")):
-        raise DataError("train and val splits must be non-empty")
+    """``check_run``, then the fresh (model, TrainState) a run starts from."""
+    check_run(arch, data, cfg)
     model = build_model(arch, cfg.seed)
     state = TrainState(
         epochs_done=0,
@@ -341,6 +355,7 @@ def resume_protocol(
     from .checkpoint import load  # local import to avoid a cycle
 
     model, state, (_, cfg) = load(checkpoint_path)
+    check_run(model.arch, data, cfg)
     return _advance(model, data, cfg, state, checkpoint_path, max_epochs)
 
 

@@ -10,11 +10,13 @@ from inmerge import MergeConfig, synth_make
 from inmerge.checkpoint import MAGIC, load, save
 from inmerge.cli import main
 from inmerge.errors import (
+    ConfigError,
     CorruptHeaderError,
     HeaderLayoutError,
     TruncatedFileError,
     UnknownDtypeError,
 )
+from inmerge.layers import dense_spec, flatten_spec
 from inmerge.model import ArchConfig, build_model
 from inmerge.training import TrainConfig, TrainState, resume_protocol, run_protocol
 
@@ -306,3 +308,17 @@ class TestResume:
         assert [r.to_record() for r in straight.log.records] == [
             r.to_record() for r in resumed.log.records
         ]
+
+    def test_merge_without_conv_layer_refused_before_any_epoch(self, tmp_path):
+        arch = ArchConfig(
+            input_shape=(1, 28, 28), num_classes=4, layers=(flatten_spec(), dense_spec(784, 4))
+        )
+        cfg = TrainConfig(epochs_pretrain=2, epochs_inmerge=1, merge=MergeConfig())
+        model = build_model(arch, 0)
+        path = tmp_path / "flat.ckpt"
+        save(model, fresh_state(model), (arch, cfg), path)
+        before = path.read_bytes()
+        data = synth_make("striped_textures", 4, 4, 1, 28, 28, seed=9)
+        with pytest.raises(ConfigError, match="merging needs a conv layer"):
+            resume_protocol(path, data)
+        assert path.read_bytes() == before

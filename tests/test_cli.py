@@ -141,6 +141,20 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
 
+    def test_layers_that_do_not_chain_exit_2_as_config_error(self, dataset_dir, tmp_path, capsys):
+        doc = run_config(dataset_dir, tmp_path / "out", with_merge=False)
+        doc["arch"] = {
+            "input_shape": [1, 28, 28],
+            "num_classes": 2,
+            "layers": [{"kind": "flatten"},
+                       {"kind": "dense", "in_features": 100, "out_features": 2}],
+        }
+        cfg = write_config(tmp_path, doc)
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "expects 100 features" in err
+        assert not (tmp_path / "out").exists()
+
     def test_zero_epochs_exits_2(self, dataset_dir, tmp_path, capsys):
         cfg = write_config(tmp_path, run_config(dataset_dir, tmp_path / "out", epochs=(0, 0)))
         assert main(["train", "--config", str(cfg)]) == 2
@@ -368,6 +382,40 @@ def test_merge_without_conv_layer_exits_2_before_training(
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "conv layer" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, split", [("train", "val"), ("ablate", "test"), ("eval", "test")])
+def test_unscoreable_split_exits_3_before_any_work(tmp_path, capsys, command, split):
+    """A multilabel split where no class has both label values has no mean AUROC."""
+    handle = synth_make("gauss_blobs", 10, 3, 1, 28, 28, seed=2, task="multilabel")
+    labels = handle.splits[split].labels
+    handle.splits[split] = replace(handle.splits[split], labels=np.zeros_like(labels))
+    data_dir = tmp_path / "data"
+    save_dataset(handle, data_dir)
+    out = tmp_path / "out"
+    doc = run_config(data_dir, out)
+    doc["arch"].update(num_classes=3, head="multilabel")
+    cfg = write_config(tmp_path, doc)
+    if command == "eval":
+        arch = ArchConfig(input_shape=(1, 28, 28), num_classes=3, head="multilabel",
+                          preset="tiny_cnn")
+        model = build_model(arch, seed=0)
+        velocity = {k: np.zeros_like(v) for k, v in model.params.items()}
+        ckpt = tmp_path / "ml.ckpt"
+        checkpoint.save(model, TrainState(0, velocity), (arch, TrainConfig()), ckpt)
+        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(data_dir), "--split", split,
+                "--out", str(out)]
+    elif command == "ablate":
+        argv = ["ablate", "--config", str(cfg), "--axis", "p", "--values", "0.0",
+                "--seeds", "0", "--out", str(out)]
+    else:
+        argv = ["train", "--config", str(cfg)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "no class has a defined AUROC" in err
+    if command != "eval":
+        assert f"{split} split" in err
     assert not out.exists()
 
 
