@@ -13,10 +13,10 @@ outputs. Backward functions return exact analytic gradients of the
 forward contracts; tests cross-check them against central finite
 differences.
 
-Bit-identity across shard counts and chunk plans has one exception: a
-conv GEMM with a single patch row, output channel or output position
-runs as a BLAS matrix-vector product, whose bits follow the vector's
-length and so the chunk plan. No preset has such a layer.
+Bit-identity across shard counts, chunk plans and the padded grid holds
+at the preset layers (tested), not at every shape: BLAS picks its kernel by
+a GEMM's shape, so a matrix-vector product (one patch row, output channel
+or output position) or a small GEMM may sum in another order as it widens.
 
 Conventions:
 
@@ -50,9 +50,10 @@ Speed and memory:
   patches @ g.T, on the calling thread. A larger batch runs in chunks of
   ``PATCH_BUDGET`` bytes of patches, consumed while still in cache; it
   keeps only its input, backward gathers the patches again, and its
-  weight and bias gradients are summed chunk by chunk. Backward's input
-  gradient is one GEMM on the zero-padded input grid and kh*kw contiguous
-  shifted adds (sub-chunks of half the patch budget), with a scatter's bits.
+  weight and bias gradients are summed chunk by chunk. At stride 1 its
+  forward GEMM runs on the zero-padded input grid, whose patches are kh*kw
+  contiguous shifted runs. Backward's input gradient is one GEMM on that
+  grid and kh*kw shifted adds (sub-chunks of half the patch budget).
 - maxpool2d takes the running maximum over the ``window**2`` strided
   views of its input; backward routes through the same views. Neither
   uses ``np.copyto(where=)``, which costs ~10 ns an element, over ten
@@ -73,7 +74,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import LabelDomainError, ShapeError
 from .tensor import ensure_finite, log_softmax, out_extent, sigmoid
@@ -273,6 +274,11 @@ def _conv_geometry(x, weight, bias, stride, padding):
     return h_out, w_out
 
 
+def _grid(h: int, w: int, kh: int, kw: int, padding: int) -> tuple[int, int, int]:
+    """(Hp, Wp, slack): a padded grid's extents; its furthest shift, i*Wp + j."""
+    return h + 2 * padding, w + 2 * padding, (kh - 1) * (w + 2 * padding) + kw - 1
+
+
 def _conv_chunks(
     x: np.ndarray, weight: np.ndarray, h_out: int, w_out: int
 ) -> tuple[int, list[list[tuple[int, int]]], bool]:
@@ -313,6 +319,25 @@ def _gatherer(x, weight, stride, padding, h_out, w_out, step, whole, first):
     return gather
 
 
+def _grid_gatherer(x, weight, padding, step):
+    """``gather(lo, hi)`` of a stride-1 chunk: patches of every position of its
+    padded (C, m, Hp, Wp) grid, kh*kw runs of it shifted by i*Wp + j."""
+    (c_in, kh, kw), (h, w) = weight.shape[1:], x.shape[2:]
+    hp, wp, slack = _grid(h, w, kh, kw, padding)
+    grid = np.zeros((c_in, step * hp * wp + slack), x.dtype)  # only interiors are written
+    room, isz = np.empty((c_in * kh * kw * step * hp * wp,), x.dtype), x.dtype.itemsize
+
+    def gather(lo, hi):
+        size = (hi - lo) * hp * wp
+        inner = grid[:, :size].reshape(c_in, hi - lo, hp, wp)[..., padding:, padding:]
+        np.copyto(inner[..., :h, :w], x[lo:hi].transpose(1, 0, 2, 3))
+        patches = room[: c_in * kh * kw * size].reshape(c_in, kh, kw, size)
+        np.copyto(patches, as_strided(grid, patches.shape, (grid.strides[0], wp * isz, isz, isz)))
+        return patches.reshape(-1, size)
+
+    return gather
+
+
 def conv2d_forward(
     x: np.ndarray,
     weight: np.ndarray,
@@ -325,20 +350,22 @@ def conv2d_forward(
 
     The batch runs in the chunks of ``_conv_chunks``, one pool job per
     shard: each chunk's patches are gathered and multiplied while they are
-    in cache. Chunking leaves every output element bit-identical, since
-    each is one dot product over the same patch column (but see the module
-    docstring for matrix-vector shapes).
+    in cache, on the padded grid (``_grid_gatherer``) for a chunked stride-1
+    batch. Each output is one dot product over the same patch column on
+    every path (the module docstring says where BLAS still moves its bits).
 
     ``_cols_out``, when given, receives the patch matrix of a kept batch,
-    so a following ``conv2d_backward`` can skip regathering it. A chunked
-    batch's patches are not kept: backward gathers them again, chunk by
-    chunk, which holds far less memory from forward to backward.
+    so a following ``conv2d_backward`` can skip regathering it: hence kept
+    batches stay on im2col. A chunked batch's patches are not kept: backward
+    gathers them again, chunk by chunk, which holds far less memory.
     """
     h_out, w_out = _conv_geometry(x, weight, bias, stride, padding)
-    n, c_in = x.shape[:2]
+    n, c_in, h, w = x.shape
     c_out, _, kh, kw = weight.shape
     w2 = weight.reshape(c_out, -1)
     step, shards, kept = _conv_chunks(x, weight, h_out, w_out)
+    on_grid = stride == 1 and not kept  # at stride s the grid has s*s times the columns
+    gh, gw = _grid(h, w, kh, kw, padding)[:2] if on_grid else (h_out, w_out)
     dt = np.result_type(x, weight)
     out = np.empty((n, c_out, h_out, w_out), dt)
     cols = None
@@ -351,14 +378,15 @@ def conv2d_forward(
             patches = gather(lo, hi)
             chunk = np.matmul(w2, patches, out=gemm[: c_out * patches.shape[1]].reshape(c_out, -1))
             chunk += bias[:, None]
-            out[lo:hi] = chunk.reshape(c_out, -1, h_out, w_out).transpose(1, 0, 2, 3)
+            out[lo:hi] = chunk.reshape(c_out, -1, gh, gw)[..., :h_out, :w_out].transpose(1, 0, 2, 3)
 
     # scratch is taken here, on the calling thread, so the big buffers stay on the main heap
     jobs = [
         (
             chunks,
-            _gatherer(x, weight, stride, padding, h_out, w_out, step, cols, chunks[0][0]),
-            np.empty((c_out * step * h_out * w_out,), dt),
+            _grid_gatherer(x, weight, padding, step) if on_grid
+            else _gatherer(x, weight, stride, padding, h_out, w_out, step, cols, chunks[0][0]),
+            np.empty((c_out * step * gh * gw,), dt),
         )
         for chunks in shards
     ]
@@ -404,8 +432,7 @@ def conv2d_backward(
     w2, k = weight.reshape(c_out, -1), c_in * kh * kw
     step, shards, kept = _conv_chunks(x, weight, h_out, w_out)
     hw, dt, span_h, span_w = h_out * w_out, grad_out.dtype, stride * h_out, stride * w_out
-    hp, wp = h + 2 * padding, w + 2 * padding
-    slack = (kh - 1) * wp + kw - 1  # the furthest shift past a grid's end
+    hp, wp, slack = _grid(h, w, kh, kw, padding)
     grid_floats = (c_out + k + c_in) * hp * wp  # a sample's output gradient, GEMM output, sums
     # samples per input-gradient sub-chunk, whose grids fit half the patch budget
     sub = min(step, max(1, PATCH_BUDGET // 2 // (grid_floats * dt.itemsize)))

@@ -11,14 +11,11 @@ AUROC, because imputation silently biases small desk-scale splits.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import ShapeError, UndefinedMetricError
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -117,7 +114,6 @@ def per_class_auroc(
         except UndefinedMetricError:
             values.append(None)
             absent.append(k)
-            logger.warning("class %d has a single label value; AUROC undefined", k)
     return values, absent
 
 

@@ -110,18 +110,25 @@ def _preset_layers(name: str, c_in: int) -> list[LayerSpec]:
 
 
 def resolve_layers(config: ArchConfig) -> list[LayerSpec]:
-    """Expand a preset (appending flatten + classifier head) or return the
-    explicit layer list unchanged."""
+    """The model's layer stack: a preset expanded (flatten + classifier head
+    appended) or the explicit list unchanged. Raises ShapeError unless its
+    shapes chain from ``input_shape`` to the head's (num_classes,)."""
     config.validate()
     if config.layers is not None:
-        return list(config.layers)
-    body = _preset_layers(config.preset, config.input_shape[0])
-    feat = _walk_shapes(body, config.input_shape)
-    if len(feat) != 1:
-        body.append(flatten_spec())
-        feat = (math.prod(feat),)
-    body.append(dense_spec(feat[0], config.num_classes))
-    return body
+        layers = list(config.layers)
+    else:
+        layers = _preset_layers(config.preset, config.input_shape[0])
+        feat = _walk_shapes(layers, config.input_shape)
+        if len(feat) != 1:
+            layers.append(flatten_spec())
+            feat = (math.prod(feat),)
+        layers.append(dense_spec(feat[0], config.num_classes))
+    out_shape = _walk_shapes(layers, config.input_shape)
+    if out_shape != (config.num_classes,):
+        raise ShapeError(
+            f"stack produces per-sample shape {out_shape}, head needs ({config.num_classes},)"
+        )
+    return layers
 
 
 def _walk_shapes(layers: list[LayerSpec], input_shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -359,11 +366,6 @@ class Model:
 def build_model(config: ArchConfig, seed: int) -> Model:
     """Assemble and He-uniform-initialize a model; deterministic per seed."""
     layers = resolve_layers(config)
-    out_shape = _walk_shapes(layers, config.input_shape)
-    if out_shape != (config.num_classes,):
-        raise ShapeError(
-            f"stack produces per-sample shape {out_shape}, head needs ({config.num_classes},)"
-        )
     rng = seeding.stream(seed, seeding.INIT)
     params: dict[str, np.ndarray] = {}
     names: list[str | None] = []

@@ -20,6 +20,7 @@ cannot perturb shuffling or augmentation.
 
 from __future__ import annotations
 
+import logging
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 
@@ -33,6 +34,8 @@ from .merging import MergeConfig, MergeReport, inmerge_sweep
 from .metrics import MetricBundle, accuracy, mean_auroc, per_class_auroc
 from .model import ArchConfig, Model, build_model, resolve_layers
 from .tensor import sigmoid
+
+logger = logging.getLogger(__name__)
 
 PHASES = ("pretrain", "inmerge")
 EVAL_BATCH = 256  # fixed so metrics reproduce bit-exactly in any context
@@ -172,24 +175,30 @@ def check_head(arch: ArchConfig, data: DatasetHandle) -> None:
 
 def check_run(arch: ArchConfig, data: DatasetHandle, cfg: TrainConfig, scored=("val",)) -> None:
     """The rule for starting a run: raise ConfigError unless both configs are
-    valid, the model fits the dataset (``check_head``) and has a conv layer
-    when ``cfg`` has merge epochs; raise DataError unless the train split and
-    every ``scored`` split are non-empty and each scored split has a metric."""
+    valid, the model's layers chain (``resolve_layers``), it fits the dataset
+    (``check_head``) and has a conv layer when ``cfg`` has merge epochs; raise
+    DataError unless ``check_split`` passes the train and ``scored`` splits."""
     cfg.validate()
-    arch.validate()
+    layers = resolve_layers(arch)
     check_head(arch, data)
     if cfg.merge is not None and cfg.epochs_inmerge > 0:
-        if all(spec.kind != "conv2d" for spec in resolve_layers(arch)):
+        if all(spec.kind != "conv2d" for spec in layers):
             raise ConfigError("merging needs a conv layer, but the model has none")
     for name in ("train", *scored):
-        labels = data.splits[name].labels
-        if len(labels) == 0:
-            raise DataError(f"{name} split is empty")
-        if name in scored and data.task == "multilabel":
-            try:  # labels as scores: a class has an AUROC iff it has both label values
-                mean_auroc(per_class_auroc(labels, labels)[0])
-            except UndefinedMetricError as exc:
-                raise DataError(f"{name} split cannot be scored: {exc}") from None
+        check_split(data, name, scored=name in scored)
+
+
+def check_split(data: DatasetHandle, name: str, scored: bool = True) -> None:
+    """Raise DataError if split ``name`` is empty or, when ``scored``, has no
+    metric: a multilabel split needs a class with a defined AUROC."""
+    labels = data.splits[name].labels
+    if len(labels) == 0:
+        raise DataError(f"{name} split is empty")
+    if scored and data.task == "multilabel":
+        try:  # labels as scores: a class has an AUROC iff it has both label values
+            mean_auroc(per_class_auroc(labels, labels)[0])
+        except UndefinedMetricError as exc:
+            raise DataError(f"{name} split cannot be scored: {exc}") from None
 
 
 def train_epoch(
@@ -207,9 +216,8 @@ def train_epoch(
     if phase not in PHASES:
         raise ConfigError(f"phase must be one of {PHASES}, got {phase!r}")
     check_head(model.arch, data)
+    check_split(data, "train", scored=False)
     split = data.splits["train"]
-    if len(split) == 0:
-        raise DataError("train split is empty")
     lr = lr_at(epoch, cfg)
     shuffle_rng = seeding.stream(cfg.seed, seeding.SHUFFLE, epoch)
     flip_u = (
@@ -265,9 +273,8 @@ def evaluate_with_logits(model: Model, data: DatasetHandle, split_name: str = "v
     check_head(model.arch, data)
     if split_name not in data.splits:
         raise ConfigError(f"unknown split {split_name!r}")
+    check_split(data, split_name)
     split = data.splits[split_name]
-    if len(split) == 0:
-        raise DataError(f"{split_name} split is empty")
     logits = predict_logits(model, split, data)
     loss, _ = _batch_loss(model, logits, split.labels)
     bundle = MetricBundle(n_samples=len(split), loss=loss)
@@ -276,6 +283,8 @@ def evaluate_with_logits(model: Model, data: DatasetHandle, split_name: str = "v
     else:
         scores = sigmoid(logits)
         values, absent = per_class_auroc(scores, split.labels)
+        for k in absent:
+            logger.warning("%s split: class %d has one label value; AUROC undefined", split_name, k)
         bundle.per_class_auroc = values
         bundle.absent_classes = absent
         bundle.mean_auroc = mean_auroc(values)

@@ -172,6 +172,29 @@ def maxpool_loop_oracle(x: np.ndarray, window: int, stride: int, grad_out: np.nd
     return out, argmax, grad_x.astype(grad_out.dtype)
 
 
+def _im2col_oracle(x, kh, kw, stride, padding):
+    """(C*kh*kw, n*h_out*w_out) patch matrix of an NCHW batch."""
+    pads = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+    win = sliding_window_view(np.pad(x, pads), (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride].transpose(1, 4, 5, 0, 2, 3)
+    return np.ascontiguousarray(win).reshape(x.shape[1] * kh * kw, -1)
+
+
+def conv_forward_oracle(x, weight, bias, stride, padding, chunks):
+    """conv2d's output computed as the engine first did: per (lo, hi) chunk
+    of ``chunks``, ``w2 @ patches`` over the chunk's im2col patches, plus
+    the bias."""
+    c_out, _, kh, kw = weight.shape
+    h_out = (x.shape[2] + 2 * padding - kh) // stride + 1
+    w_out = (x.shape[3] + 2 * padding - kw) // stride + 1
+    out = np.empty((len(x), c_out, h_out, w_out), np.result_type(x, weight))
+    for lo, hi in chunks:
+        part = weight.reshape(c_out, -1) @ _im2col_oracle(x[lo:hi], kh, kw, stride, padding)
+        part += bias[:, None]
+        out[lo:hi] = part.reshape(c_out, hi - lo, h_out, w_out).transpose(1, 0, 2, 3)
+    return out
+
+
 def conv_backward_oracle(grad_out, x, weight, stride, padding, chunks):
     """conv2d's gradients (d_input, d_weight, d_bias), computed as the engine
     first did, one (lo, hi) chunk of ``chunks`` at a time.
@@ -185,14 +208,11 @@ def conv_backward_oracle(grad_out, x, weight, stride, padding, chunks):
     n, _, h, w = x.shape
     h_out, w_out = grad_out.shape[2:]
     w2 = weight.reshape(c_out, -1)
-    pads = ((0, 0), (0, 0), (padding, padding), (padding, padding))
     grad_x = np.empty(x.shape, grad_out.dtype)
     grad_w = grad_b = None
     for lo, hi in chunks:
         g = np.ascontiguousarray(grad_out[lo:hi].transpose(1, 0, 2, 3)).reshape(c_out, -1)
-        win = sliding_window_view(np.pad(x[lo:hi], pads), (kh, kw), axis=(2, 3))
-        win = win[:, :, ::stride, ::stride].transpose(1, 4, 5, 0, 2, 3)
-        patches = np.ascontiguousarray(win).reshape(c_in * kh * kw, -1)
+        patches = _im2col_oracle(x[lo:hi], kh, kw, stride, padding)
         part_w, part_b = g @ patches.T, g.sum(axis=1)
         if grad_w is None:
             grad_w, grad_b = part_w, part_b

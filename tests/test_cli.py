@@ -363,16 +363,28 @@ def test_image_shape_mismatch_exits_2_naming_both(tmp_path, capsys, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize(
+    "command, in_features, message",
+    [
+        pytest.param("train", 784, "conv layer", id="train"),
+        pytest.param("ablate", 784, "conv layer", id="ablate"),
+        # the layer shape walk comes first, so layers that do not chain name it
+        pytest.param("train", 100, "expects 100 features", id="train-layers-do-not-chain"),
+        pytest.param("ablate", 100, "expects 100 features", id="ablate-layers-do-not-chain"),
+    ],
+)
 def test_merge_without_conv_layer_exits_2_before_training(
-    dataset_dir, tmp_path, capsys, command
+    dataset_dir, tmp_path, capsys, command, in_features, message
 ):
     out = tmp_path / "out"
     doc = run_config(dataset_dir, out)
     doc["arch"] = {
         "input_shape": [1, 28, 28],
         "num_classes": 2,
-        "layers": [{"kind": "flatten"}, {"kind": "dense", "in_features": 784, "out_features": 2}],
+        "layers": [
+            {"kind": "flatten"},
+            {"kind": "dense", "in_features": in_features, "out_features": 2},
+        ],
     }
     cfg = write_config(tmp_path, doc)
     argv = ["train", "--config", str(cfg)]
@@ -381,7 +393,7 @@ def test_merge_without_conv_layer_exits_2_before_training(
                 "--seeds", "0", "--out", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and "conv layer" in err
+    assert err.startswith("config error:") and message in err
     assert not out.exists()
 
 
@@ -414,8 +426,7 @@ def test_unscoreable_split_exits_3_before_any_work(tmp_path, capsys, command, sp
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "no class has a defined AUROC" in err
-    if command != "eval":
-        assert f"{split} split" in err
+    assert f"{split} split cannot be scored" in err
     assert not out.exists()
 
 

@@ -320,7 +320,6 @@ def test_fuzzed_document_is_typed_or_refused_cleanly(files, tmp_path_factory, ki
     the document's own error class; through ``cli.main`` the exit code is
     0, 2, 3 or 4 and no exception escapes."""
     cls, valid, error = documents(files)[kind]
-    tmp = tmp_path_factory.mktemp(kind)
 
     @given(doc=fuzzed(valid))
     @settings(max_examples=30, deadline=None)
@@ -329,7 +328,8 @@ def test_fuzzed_document_is_typed_or_refused_cleanly(files, tmp_path_factory, ki
             assert conforms(decode(cls, json.dumps(doc).encode(), error, kind), cls)
         except error:
             pass
-        argv = CASES[kind](files, WRITERS[kind](files, tmp, doc))[2]
+        # a new directory per example: overwriting a file costs far more than writing one
+        argv = CASES[kind](files, WRITERS[kind](files, tmp_path_factory.mktemp(kind), doc))[2]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)

@@ -5,6 +5,7 @@ suite; here a smaller sample keeps the dev loop fast.
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from helpers import (
     GRADCHECK_KINDS,
     REL_TOL,
     conv_backward_oracle,
+    conv_forward_oracle,
     gradcheck_case,
     maxpool_loop_oracle,
 )
@@ -239,6 +241,125 @@ class TestConvChunks:
         regathered = conv2d_backward(g, x, w, 2, 1)
         for a, r in zip(kept, regathered):
             assert a.tobytes() == r.tobytes()
+
+
+def _grid_calls(mp) -> list:
+    """A list that grows by one for each shard gatherer ``conv2d_forward``
+    takes on the padded grid while ``mp`` is active."""
+    calls: list = []
+    grid_gatherer = inmerge.layers._grid_gatherer
+    mp.setattr(inmerge.layers, "_grid_gatherer", lambda *a: calls.append(a) or grid_gatherer(*a))
+    return calls
+
+
+def _forward_against_oracle(x, w, b, stride, padding, keep_limit, budget):
+    """(output, oracle output) of ``conv2d_forward`` under the given limits,
+    split into 1, 2 and 3 shards; the oracle gathers im2col patches at the
+    same chunks. Asserts that the padded grid ran exactly for a chunked
+    stride-1 batch."""
+    h_out = (x.shape[2] + 2 * padding - w.shape[2]) // stride + 1
+    w_out = (x.shape[3] + 2 * padding - w.shape[3]) // stride + 1
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inmerge.layers, "PATCH_KEEP_LIMIT", keep_limit)
+        mp.setattr(inmerge.layers, "PATCH_BUDGET", budget)
+        calls = _grid_calls(mp)
+        for count in (1, 2, 3):
+            mp.setattr(inmerge.layers, "SHARDS", count)
+            _, shards, kept = inmerge.layers._conv_chunks(x, w, h_out, w_out)
+            chunks = [chunk for shard in shards for chunk in shard]
+            calls.clear()
+            got = conv2d_forward(x, w, b, stride, padding)
+            assert len(calls) == (0 if kept or stride > 1 else len(shards))
+            want = conv_forward_oracle(x, w, b, stride, padding, chunks)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            runs.append((got, want))
+    return runs
+
+
+class TestConvGrid:
+    """A chunked stride-1 batch's forward runs on the zero-padded grid and,
+    at the preset layers, keeps the bytes of the im2col path it replaces."""
+
+    @pytest.mark.parametrize("n", [128, 37])
+    @pytest.mark.parametrize(
+        "arch",
+        [
+            ArchConfig(input_shape=(1, 28, 28), num_classes=4, preset="tiny_cnn"),
+            ArchConfig(input_shape=(3, 64, 64), num_classes=4, preset="small_vgg_d"),
+        ],
+        ids=["tiny_cnn", "small_vgg_d"],
+    )
+    def test_every_preset_conv(self, arch, n):
+        """Each conv, forced to chunks and at the default limits, gives the
+        oracle's bytes; at batch 37 also those of the whole batch kept (the
+        kept batch-128 patch matrices of 38-302 MB would only cost memory)."""
+        rng = np.random.default_rng(n + 1)
+        for spec, shape in _preset_convs(arch):
+            x = rng.normal(size=(n, *shape)).astype(np.float32)
+            w = rng.normal(size=(spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w))
+            w, b = w.astype(np.float32), rng.normal(size=spec.out_channels).astype(np.float32)
+            outs, budget = [], inmerge.layers.PATCH_BUDGET
+            for limit in [0, inmerge.layers.PATCH_KEEP_LIMIT] + [1 << 40] * (n == 37):
+                for got, want in _forward_against_oracle(
+                    x, w, b, spec.stride, spec.padding, limit, budget
+                ):
+                    assert got.tobytes() == want.tobytes(), (spec, n, limit)
+                    outs.append(got.tobytes())
+            assert len(set(outs)) == 1, spec
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_random_geometries(self, data):
+        n, c_in, c_out = (data.draw(st.integers(1, top)) for top in (9, 5, 40))
+        kh, kw = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        stride, padding = data.draw(st.integers(1, 2)), data.draw(st.integers(0, 2))
+
+        def extent(k):
+            """An input extent of at least 1 whose output extent is whole."""
+            e = (data.draw(st.integers(1, 6)) - 1) * stride + k - 2 * padding
+            while e < 1:
+                e += stride
+            return e
+
+        h, w = extent(kh), extent(kw)
+        h_out, w_out = (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = rng.normal(size=(n, c_in, h, w)).astype(np.float32)
+        wt = rng.normal(size=(c_out, c_in, kh, kw)).astype(np.float32)
+        b = rng.normal(size=c_out).astype(np.float32)
+        samples = data.draw(st.integers(1, n))  # per chunk, so the last chunk may be short
+        budget = samples * c_in * kh * kw * h_out * w_out * 4
+        keep_limit = data.draw(st.sampled_from([0, 1 << 40]))
+        # Each output is the oracle's dot product, but BLAS picks its kernel by
+        # the GEMM's shape, so matrix-vector products and small GEMMs (about one
+        # case in thirty here, all with 36 or 45 patch rows) may sum in another
+        # order on the wider grid, as they already may between chunk plans:
+        # every output is held to the rounding bound of any summation order.
+        scale = conv_forward_oracle(np.abs(x), np.abs(wt), np.abs(b), stride, padding, [(0, n)])
+        bound = 2 * (c_in * kh * kw + 1) * np.finfo(np.float32).eps * scale
+        for got, want in _forward_against_oracle(x, wt, b, stride, padding, keep_limit, budget):
+            assert np.all(np.abs(got - want) <= bound)
+
+    def test_nan_input_is_caught_on_the_calling_thread(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(6, 3, 9, 9)).astype(np.float32)
+        x[4, 1, 2, 3] = np.nan
+        w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
+        monkeypatch.setattr(inmerge.layers, "PATCH_KEEP_LIMIT", 0)
+        monkeypatch.setattr(inmerge.layers, "PATCH_BUDGET", 1)  # one sample per chunk
+        threads = []
+        ensure_finite = inmerge.layers.ensure_finite
+
+        def spy(name, *arrays):
+            threads.append(threading.current_thread())
+            return ensure_finite(name, *arrays)
+
+        monkeypatch.setattr(inmerge.layers, "ensure_finite", spy)
+        calls = _grid_calls(monkeypatch)
+        with pytest.raises(NumericError, match="conv2d_forward"):
+            conv2d_forward(x, w, np.zeros(4, np.float32), 1, 1)
+        assert len(calls) == inmerge.layers.SHARDS and threads == [threading.main_thread()]
 
 
 def _preset_convs(arch):

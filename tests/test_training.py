@@ -216,6 +216,33 @@ class TestEvaluate:
             evaluate(build_model(TINY, 0), small_data(), "holdout")
 
 
+class TestCheckRun:
+    ARCH = ArchConfig(input_shape=(1, 28, 28), num_classes=3, head="multilabel",
+                      preset="tiny_cnn")
+
+    @pytest.mark.parametrize("single_valued", [[1], [0, 1, 2]])
+    def test_single_valued_class_logs_nothing(self, caplog, single_valued):
+        """The gate scores a split from its labels without a log record; it
+        refuses only when no class has both label values."""
+        data = synth_make("gauss_blobs", 10, 3, 1, 28, 28, seed=2, task="multilabel")
+        labels = data.splits["val"].labels.copy()
+        labels[:, single_valued] = 0
+        data.splits["val"] = Split(data.splits["val"].images, labels)
+        cfg = TrainConfig(epochs_pretrain=1, epochs_inmerge=0)
+        with caplog.at_level("DEBUG"):
+            if len(single_valued) == 3:
+                with pytest.raises(DataError, match="val split cannot be scored"):
+                    training.check_run(self.ARCH, data, cfg)
+            else:
+                training.check_run(self.ARCH, data, cfg)
+            assert caplog.records == []
+            if len(single_valued) == 1:  # scoring the split warns, once per call
+                evaluate(build_model(self.ARCH, 0), data, "val")
+                assert [r.getMessage() for r in caplog.records] == [
+                    "val split: class 1 has one label value; AUROC undefined"
+                ]
+
+
 class TestProtocol:
     def test_bookkeeping_2_plus_1(self):
         data = small_data()
