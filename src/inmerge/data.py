@@ -227,6 +227,8 @@ def synth_make(
         raise ConfigError("synth_make: all size parameters must be positive")
     if not 0.0 <= label_noise < 1.0:
         raise ConfigError(f"label_noise must be in [0, 1), got {label_noise}")
+    if label_noise > 0.0 and (task != "multiclass" or num_classes < 2):
+        raise ConfigError("label_noise needs a multiclass task with at least 2 classes")
     if len(split_fractions) != 3 or not all(math.isfinite(f) and f >= 0 for f in split_fractions):
         raise ConfigError(f"split_fractions must be 3 finite values >= 0, got {split_fractions}")
     if abs(sum(split_fractions) - 1.0) > 1e-9:
@@ -256,7 +258,7 @@ def synth_make(
         for name, a, b in zip(SPLIT_NAMES, bounds[:-1], bounds[1:])
     }
 
-    if label_noise > 0.0 and task == "multiclass" and n_train > 0:
+    if label_noise > 0.0 and n_train > 0:
         noise_rng = seeding.stream(seed, seeding.LABEL_NOISE)
         n_noisy = round(label_noise * n_train)
         chosen = noise_rng.choice(n_train, size=n_noisy, replace=False)

@@ -39,21 +39,25 @@ Speed and memory:
   results are byte-identical for any worker count and, but for the
   exception above, any ``SHARDS``. Checks (``ensure_finite``) run on the
   calling thread.
-- Every array the layers write is an ``np.empty`` taken on the calling
-  thread, a shard's scratch once per call. ``ShardPool`` has glibc keep
-  them on the main heap and keep what is freed, so memory is reused once
-  no array holds it (sharing by liveness, as in Chen et al. 2016) and a
-  warm training step takes almost no new pages from the system.
-- conv2d lowers to GEMMs over an im2col patch matrix (Chellapilla et al.
-  2006). A batch whose patch matrix fits ``PATCH_KEEP_LIMIT`` keeps it,
-  and forward hands it on to backward, whose weight gradient is one GEMM,
-  patches @ g.T, on the calling thread. A larger batch runs in chunks of
-  ``PATCH_BUDGET`` bytes of patches, consumed while still in cache; it
-  keeps only its input, backward gathers the patches again, and its
-  weight and bias gradients are summed chunk by chunk. At stride 1 its
-  forward GEMM runs on the zero-padded input grid, whose patches are kh*kw
-  contiguous shifted runs. Backward's input gradient is one GEMM on that
-  grid and kh*kw shifted adds (sub-chunks of half the patch budget).
+- Every array the layers write is taken on the calling thread, a shard's
+  scratch once per call: an ``np.empty``, or ``np.zeros`` for a padded
+  grid, whose border is read. ``ShardPool`` has glibc keep them on the
+  main heap and keep what is freed, so memory is reused once no array
+  holds it (sharing by liveness, as in Chen et al. 2016) and a warm
+  training step takes almost no new pages from the system.
+- conv2d lowers to GEMMs over patch matrices, all read from one
+  zero-padded input grid per shard. A batch whose patch matrix fits
+  ``PATCH_KEEP_LIMIT`` keeps it, and forward hands it on to backward,
+  whose weight gradient is one GEMM, patches @ g.T, on the calling thread.
+  A larger batch runs in chunks of ``PATCH_BUDGET`` bytes of patches,
+  consumed while still in cache; it keeps only its input, backward gathers
+  the patches again, and its weight and bias gradients are summed chunk by
+  chunk. At stride 1 its forward GEMM runs on every grid position, whose
+  patches are kh*kw contiguous shifted runs. The rest read im2col columns
+  (Chellapilla et al. 2006), one per output: backward wants a kept batch's
+  patches at its outputs only, and at stride s the grid has s*s times the
+  columns. Backward's input gradient is one GEMM on a grid of the same
+  geometry and kh*kw shifted adds (sub-chunks of half the patch budget).
 - maxpool2d takes the running maximum over the ``window**2`` strided
   views of its input; backward routes through the same views. Neither
   uses ``np.copyto(where=)``, which costs ~10 ns an element, over ten
@@ -191,6 +195,8 @@ class ShardPool:
     no result depends on which thread computes it. The first ``map`` looks
     the symbol up, starts the threads and, process-wide, has the C heap keep
     the memory it frees (``_keep_freed_memory``); importing changes nothing.
+    The heap so never shrinks: a process that moves to a smaller model
+    keeps the larger one's pages until it calls glibc's ``malloc_trim(0)``.
     """
 
     def __init__(self, workers: int | None = None):
@@ -245,22 +251,6 @@ PATCH_BUDGET = 8 << 20
 PATCH_KEEP_LIMIT = 32 << 20
 
 
-def _im2col(
-    padded: np.ndarray, kh: int, kw: int, stride: int, h_out: int, w_out: int, out: np.ndarray
-) -> np.ndarray:
-    """Patch matrix (C*kh*kw, N*h_out*w_out) of a padded NCHW batch,
-    gathered into ``out``, a (C, kh, kw, N, h_out, w_out) view.
-
-    Keeping the spatial axes minor makes the gather run over long
-    contiguous spans of the input, which dominates conv throughput here.
-    """
-    n, c = padded.shape[:2]
-    win = sliding_window_view(padded, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    # (N, C, h_out, w_out, kh, kw) -> (C, kh, kw, N, h_out, w_out)
-    np.copyto(out, win.transpose(1, 4, 5, 0, 2, 3))
-    return out.reshape(c * kh * kw, n * h_out * w_out)
-
-
 def _conv_geometry(x, weight, bias, stride, padding):
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d: need 4-d input/weight, got {x.ndim}-d/{weight.ndim}-d")
@@ -294,46 +284,33 @@ def _conv_chunks(
     return step, [chunks[lo:hi] for lo, hi in _shards(len(chunks))], kept
 
 
-def _gatherer(x, weight, stride, padding, h_out, w_out, step, whole, first):
-    """``gather(lo, hi)``: the patch matrix of samples [lo, hi) of one shard,
-    in the shard's block of ``whole`` (a kept batch's (C, kh, kw, N, h_out,
-    w_out) patches, the shard's starting at sample ``first``) or in room for
-    one chunk. Padded input goes to room for ``step`` samples, whose border
-    is zeroed once."""
-    c_in, kh, kw = weight.shape[1:]
-    h, w = x.shape[2:]
-    if whole is None:
-        whole, first = np.empty((c_in, kh, kw, step, h_out, w_out), x.dtype), 0
-    whole = whole[:, :, :, first:]
-    if padding:
-        pad = np.empty((step, c_in, h + 2 * padding, w + 2 * padding), x.dtype)
-        pad.fill(0)
-
-    def gather(lo, hi):
-        xin = x[lo:hi]
-        if padding:
-            xin = pad[: hi - lo]
-            xin[:, :, padding : padding + h, padding : padding + w] = x[lo:hi]
-        return _im2col(xin, kh, kw, stride, h_out, w_out, whole[:, :, :, : hi - lo])
-
-    return gather
-
-
-def _grid_gatherer(x, weight, padding, step):
-    """``gather(lo, hi)`` of a stride-1 chunk: patches of every position of its
-    padded (C, m, Hp, Wp) grid, kh*kw runs of it shifted by i*Wp + j."""
+def _gatherer(x, weight, stride, padding, h_out, w_out, step, whole, on_grid):
+    """``gather(lo, hi)``: the patch matrix of a chunk of at most ``step``
+    samples, read from a zeroed (C, step*Hp*Wp + slack) grid that the chunk
+    is copied into. On the grid, it is the kh*kw runs of the grid shifted by
+    i*Wp + j, a column per grid position; otherwise, im2col columns, one per
+    output, in samples [lo, hi) of ``whole`` (a kept batch's (C, kh, kw, N,
+    h_out, w_out) patches) or in room for one chunk. The spatial axes stay
+    minor, so every copy runs over long contiguous spans."""
     (c_in, kh, kw), (h, w) = weight.shape[1:], x.shape[2:]
     hp, wp, slack = _grid(h, w, kh, kw, padding)
     grid = np.zeros((c_in, step * hp * wp + slack), x.dtype)  # only interiors are written
-    room, isz = np.empty((c_in * kh * kw * step * hp * wp,), x.dtype), x.dtype.itemsize
+    gh, gw = (hp, wp) if on_grid else (h_out, w_out)
+    room = np.empty((c_in, kh, kw, step, gh, gw), x.dtype) if whole is None else None
+    isz = x.dtype.itemsize
 
     def gather(lo, hi):
-        size = (hi - lo) * hp * wp
-        inner = grid[:, :size].reshape(c_in, hi - lo, hp, wp)[..., padding:, padding:]
-        np.copyto(inner[..., :h, :w], x[lo:hi].transpose(1, 0, 2, 3))
-        patches = room[: c_in * kh * kw * size].reshape(c_in, kh, kw, size)
-        np.copyto(patches, as_strided(grid, patches.shape, (grid.strides[0], wp * isz, isz, isz)))
-        return patches.reshape(-1, size)
+        planes = grid[:, : (hi - lo) * hp * wp].reshape(c_in, hi - lo, hp, wp)
+        np.copyto(planes[..., padding:, padding:][..., :h, :w], x[lo:hi].transpose(1, 0, 2, 3))
+        patches = whole[:, :, :, lo:hi] if room is None else room[:, :, :, : hi - lo]
+        if on_grid:
+            runs = patches.reshape(c_in, kh, kw, -1)
+            np.copyto(runs, as_strided(grid, runs.shape, (grid.strides[0], wp * isz, isz, isz)))
+        else:
+            win = sliding_window_view(planes, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+            # (C, m, h_out, w_out, kh, kw) -> (C, kh, kw, m, h_out, w_out)
+            np.copyto(patches, win.transpose(0, 4, 5, 1, 2, 3))
+        return patches.reshape(c_in * kh * kw, -1)
 
     return gather
 
@@ -349,15 +326,17 @@ def conv2d_forward(
     """Cross-correlate an NCHW batch with OIHW kernels, zero padding.
 
     The batch runs in the chunks of ``_conv_chunks``, one pool job per
-    shard: each chunk's patches are gathered and multiplied while they are
-    in cache, on the padded grid (``_grid_gatherer``) for a chunked stride-1
-    batch. Each output is one dot product over the same patch column on
-    every path (the module docstring says where BLAS still moves its bits).
+    shard: each chunk goes into the shard's padded grid (``_gatherer``),
+    whose patches are read and multiplied while they are in cache. A
+    chunked stride-1 batch multiplies every grid position and keeps the
+    valid ones; the rest read im2col columns, one per output. Each output
+    is one dot product over the same patch column on every path (the
+    module docstring says where BLAS still moves its bits).
 
     ``_cols_out``, when given, receives the patch matrix of a kept batch,
     so a following ``conv2d_backward`` can skip regathering it: hence kept
-    batches stay on im2col. A chunked batch's patches are not kept: backward
-    gathers them again, chunk by chunk, which holds far less memory.
+    batches read im2col columns. A chunked batch's patches are not kept:
+    backward gathers them again, chunk by chunk, which holds far less memory.
     """
     h_out, w_out = _conv_geometry(x, weight, bias, stride, padding)
     n, c_in, h, w = x.shape
@@ -380,16 +359,10 @@ def conv2d_forward(
             chunk += bias[:, None]
             out[lo:hi] = chunk.reshape(c_out, -1, gh, gw)[..., :h_out, :w_out].transpose(1, 0, 2, 3)
 
-    # scratch is taken here, on the calling thread, so the big buffers stay on the main heap
-    jobs = [
-        (
-            chunks,
-            _grid_gatherer(x, weight, padding, step) if on_grid
-            else _gatherer(x, weight, stride, padding, h_out, w_out, step, cols, chunks[0][0]),
-            np.empty((c_out * step * gh * gw,), dt),
-        )
-        for chunks in shards
-    ]
+    jobs = []
+    for chunks in shards:  # scratch taken on the calling thread, so it stays on the main heap
+        gather = _gatherer(x, weight, stride, padding, h_out, w_out, step, cols, on_grid)
+        jobs.append((chunks, gather, np.empty((c_out * step * gh * gw,), dt)))
     _POOL.map(run, jobs)
     ensure_finite("conv2d_forward", out)
     return out
@@ -441,9 +414,7 @@ def conv2d_backward(
     # transposed output gradient; its weight and bias gradients are then
     # one GEMM and one sum over the whole batch, on the calling thread.
     g_kept = np.empty((c_out, n, h_out, w_out), dt) if kept else None
-    whole = None
-    if kept and cols is None:
-        whole = np.empty((c_in, kh, kw, n, h_out, w_out), x.dtype)
+    whole = np.empty((c_in, kh, kw, n, h_out, w_out), x.dtype) if kept and cols is None else None
     # each chunk's weight gradient: taken here, as all scratch, not in a worker
     dw = None if kept else np.empty((-(-n // step), k, c_out), np.result_type(x, dt))
 
@@ -481,7 +452,7 @@ def conv2d_backward(
     jobs = []
     for chunks in shards:  # scratch taken in shard order, as in conv2d_forward
         gather = cols is None and _gatherer(
-            x, weight, stride, padding, h_out, w_out, step, whole, chunks[0][0]
+            x, weight, stride, padding, h_out, w_out, step, whole, False
         )
         g_buf = None if kept else np.empty((c_out * step * hw,), dt)
         grid = need_input_grad and np.empty((sub * grid_floats + c_in * slack,), dt)
@@ -489,7 +460,7 @@ def conv2d_backward(
     parts = _POOL.map(run, jobs)
     if kept:
         g = g_kept.reshape(c_out, -1)
-        patches = cols if cols is not None else whole.reshape(c_in * kh * kw, -1)
+        patches = whole.reshape(k, -1) if cols is None else cols
         parts = [[((patches @ g.T).T, g.sum(axis=1))]]
     (grad_weight, grad_bias), *rest = [part for shard in parts for part in shard]
     for part_weight, part_bias in rest:

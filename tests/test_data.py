@@ -162,6 +162,10 @@ class TestSynth:
             synth_make("gauss_blobs", 0, 2, 1, 8, 8, seed=0)
         with pytest.raises(ConfigError):
             synth_make("gauss_blobs", 5, 2, 1, 8, 8, seed=0, label_noise=1.5)
+        with pytest.raises(ConfigError, match="label_noise"):
+            synth_make("gauss_blobs", 10, 1, 1, 8, 8, seed=0, label_noise=0.2)
+        with pytest.raises(ConfigError, match="label_noise"):
+            synth_make("gauss_blobs", 10, 3, 1, 8, 8, seed=0, task="multilabel", label_noise=0.2)
 
     @pytest.mark.parametrize(
         "fractions", [(0.5, 0.5), (0.5, 0.25, 0.25, 0.0), (float("nan"), 0.5, 0.5)]

@@ -15,6 +15,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from helpers import (
     GRADCHECK_KINDS,
     REL_TOL,
+    _im2col_oracle,
     conv_backward_oracle,
     conv_forward_oracle,
     gradcheck_case,
@@ -247,8 +248,14 @@ def _grid_calls(mp) -> list:
     """A list that grows by one for each shard gatherer ``conv2d_forward``
     takes on the padded grid while ``mp`` is active."""
     calls: list = []
-    grid_gatherer = inmerge.layers._grid_gatherer
-    mp.setattr(inmerge.layers, "_grid_gatherer", lambda *a: calls.append(a) or grid_gatherer(*a))
+    gatherer = inmerge.layers._gatherer
+
+    def spy(*args):
+        if args[-1]:  # on_grid
+            calls.append(args)
+        return gatherer(*args)
+
+    mp.setattr(inmerge.layers, "_gatherer", spy)
     return calls
 
 
@@ -340,6 +347,43 @@ class TestConvGrid:
         bound = 2 * (c_in * kh * kw + 1) * np.finfo(np.float32).eps * scale
         for got, want in _forward_against_oracle(x, wt, b, stride, padding, keep_limit, budget):
             assert np.all(np.abs(got - want) <= bound)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_gatherer_reads_the_oracle_patches(self, data):
+        """Off the grid, every chunk's patch matrix (in its own room, or in a
+        kept batch's block) has the oracle's bytes; on the grid, its columns
+        at the valid positions do. Padding 0 is covered here only."""
+        n, c = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 3))
+        kh, kw = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        stride, padding = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2))
+        h = data.draw(st.integers(max(1, kh - 2 * padding), 8))
+        w = data.draw(st.integers(max(1, kw - 2 * padding), 8))
+        h_out, w_out = (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
+        on_grid = stride == 1 and data.draw(st.booleans())
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = rng.normal(size=(n, c, h, w)).astype(np.float32)
+        weight = np.empty((1, c, kh, kw), np.float32)
+        args = (x, weight, stride, padding, h_out, w_out)
+        if not on_grid and data.draw(st.booleans()):  # a kept batch's shard
+            first = data.draw(st.integers(0, n - 1))
+            hi = data.draw(st.integers(first + 1, n))
+            whole = np.empty((c, kh, kw, n, h_out, w_out), np.float32)
+            got = inmerge.layers._gatherer(*args, hi - first, whole, False)(first, hi)
+            assert np.shares_memory(got, whole)
+            want = _im2col_oracle(x[first:hi], kh, kw, stride, padding)
+            block = whole[:, :, :, first:hi].reshape(c * kh * kw, -1)
+            assert got.tobytes() == block.tobytes() == want.tobytes()
+            return
+        step = data.draw(st.integers(1, n))  # the last chunk may be short
+        gather = inmerge.layers._gatherer(*args, step, None, on_grid)
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            got, want = gather(lo, hi), _im2col_oracle(x[lo:hi], kh, kw, stride, padding)
+            if on_grid:
+                grid = got.reshape(c * kh * kw, hi - lo, h + 2 * padding, w + 2 * padding)
+                got = grid[..., :h_out, :w_out].reshape(c * kh * kw, -1)
+            assert got.tobytes() == want.tobytes()
 
     def test_nan_input_is_caught_on_the_calling_thread(self, monkeypatch):
         rng = np.random.default_rng(7)

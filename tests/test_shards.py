@@ -48,13 +48,18 @@ def use_pool(monkeypatch):
 def gather_threads(monkeypatch):
     """Idents of the threads that gather conv patches."""
     seen = set()
-    original = inmerge.layers._im2col
+    original = inmerge.layers._gatherer
 
     def recording(*args):
-        seen.add(threading.get_ident())
-        return original(*args)
+        gather = original(*args)
 
-    monkeypatch.setattr(inmerge.layers, "_im2col", recording)
+        def recorded(lo, hi):
+            seen.add(threading.get_ident())
+            return gather(lo, hi)
+
+        return recorded
+
+    monkeypatch.setattr(inmerge.layers, "_gatherer", recording)
     return seen
 
 
