@@ -26,11 +26,8 @@ to a separate ``run_meta.json`` that is excluded from that guarantee.
 test split included, before it creates ``--out``. It trains each seed's
 pretrain epochs once, since no merge setting touches them; each value's
 cell continues from its own copy and writes what ``train`` on the cell's
-config would. ``INMERGE_THREADS`` caps ablation threads (default 1),
-over the seeds' pretraining, then over the cells. Every layer already
-spreads its batch over the cores (``layers.ShardPool``); ablation
-threads share that one pool, so ``INMERGE_THREADS`` > 1 shares the same
-cores rather than adding any.
+config would. Seeds run one after another, each seed's cells in turn;
+every layer spreads its batch over the cores (``layers.ShardPool``).
 """
 
 from __future__ import annotations
@@ -38,11 +35,9 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import os
 import shutil
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -241,16 +236,8 @@ def _parse_values(axis: str, text: str) -> list:
 
 
 def _worker_count() -> int:
-    raw = os.environ.get("INMERGE_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"INMERGE_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ConfigError(f"INMERGE_THREADS must be >= 1, got {n}")
-    return n
+    """Grid workers; ``bench/run.py`` reports this as ``cli.workers``."""
+    return 1
 
 
 def cmd_ablate(args) -> int:
@@ -284,38 +271,32 @@ def cmd_ablate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def pretrain(seed: int):
+    outcomes = {}
+    for seed in seeds:
         cfg = cfgs[values[0], seed]
         model, state = start_protocol(rc.arch, handle, cfg)
         _advance(model, handle, cfg, state, None, cfg.epochs_pretrain)
-        return seed, (model, state)
-
-    def run_one(job):
-        value, seed = job
-        cell_dir = out_dir / f"{args.axis}_{value}" / f"seed_{seed}"
-        start = copy.deepcopy(starts[seed])  # this cell's own (model, state)
-        result = _run_cell(start, handle, cfgs[job], cell_dir, Path(rc.data.dir))
-        test_bundle = evaluate(result.best_model, handle, "test")
-        return job, val_metric_of(test_bundle, handle.task)
-
-    workers = _worker_count()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pool_map = pool.map if workers > 1 else map  # one worker runs here, on no new thread
-        starts = dict(pool_map(pretrain, seeds))
-        outcomes = dict(pool_map(run_one, list(cfgs)))
+        for value in values:
+            cell_dir = out_dir / f"{args.axis}_{value}" / f"seed_{seed}"
+            start = copy.deepcopy((model, state))  # this cell's own (model, state)
+            result = _run_cell(start, handle, cfgs[value, seed], cell_dir, Path(rc.data.dir))
+            test_bundle = evaluate(result.best_model, handle, "test")
+            merges = sum(rec.merge_applied for rec in result.log.records)
+            outcomes[value, seed] = (val_metric_of(test_bundle, handle.task), merges)
 
     metric_name = "accuracy" if handle.task == "multiclass" else "mean_auroc"
     with open(out_dir / "cells.csv", "w") as fh:
-        fh.write(f"axis,value,seed,test_{metric_name}\n")
-        for value in values:
-            for seed in seeds:
-                fh.write(f"{args.axis},{value},{seed},{outcomes[(value, seed)]!r}\n")
-    lines = [f"axis,value,n_seeds,test_{metric_name}_mean,test_{metric_name}_std"]
+        fh.write(f"axis,value,seed,test_{metric_name},merges\n")
+        for value, seed in cfgs:  # value-major, as the cells were keyed
+            metric, merges = outcomes[value, seed]
+            fh.write(f"{args.axis},{value},{seed},{metric!r},{merges}\n")
+    lines = [f"axis,value,n_seeds,test_{metric_name}_mean,test_{metric_name}_std,merges_mean"]
     for value in values:
-        cell = [outcomes[(value, seed)] for seed in seeds]
-        mean = float(np.mean(cell))
-        std = float(np.std(cell, ddof=1)) if len(cell) > 1 else 0.0
-        lines.append(f"{args.axis},{value},{len(cell)},{mean!r},{std!r}")
+        metrics, merges = zip(*(outcomes[value, seed] for seed in seeds))
+        mean = float(np.mean(metrics))
+        std = float(np.std(metrics, ddof=1)) if len(metrics) > 1 else 0.0
+        merges_mean = float(np.mean(merges))
+        lines.append(f"{args.axis},{value},{len(metrics)},{mean!r},{std!r},{merges_mean!r}")
     (out_dir / "summary.csv").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
     return 0

@@ -200,7 +200,9 @@ class ShardPool:
     """
 
     def __init__(self, workers: int | None = None):
-        self._workers = workers or min(SHARDS, len(os.sched_getaffinity(0)))
+        affinity = getattr(os, "sched_getaffinity", None)  # Linux only
+        cores = len(affinity(0)) if affinity else os.cpu_count() or 1
+        self._workers = workers or min(SHARDS, cores)
         self._lock = threading.Lock()
         self._started = False
         self._set_local = None

@@ -139,7 +139,5 @@ def roc_points(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
     fp = np.cumsum(1 - sorted_pos)
     last_of_group = np.r_[sorted_scores[1:] != sorted_scores[:-1], True]
     idx = np.flatnonzero(last_of_group)
-    rows = [(np.inf, 0.0, 0.0)]
-    for i in idx:
-        rows.append((float(sorted_scores[i]), fp[i] / n_neg, tp[i] / n_pos))
-    return np.array(rows, dtype=np.float64)
+    points = np.column_stack([sorted_scores[idx], fp[idx] / n_neg, tp[idx] / n_pos])
+    return np.vstack([[np.inf, 0.0, 0.0], points])

@@ -383,8 +383,12 @@ def build_model(config: ArchConfig, seed: int) -> Model:
         base = f"{kind.prefix}{ordinal}"
         shape = kind.weight_shape(spec)
         limit = math.sqrt(6.0 / math.prod(shape[1:]))
-        params[f"{base}.weight"] = rng.uniform(-limit, limit, size=shape).astype(DTYPE)
-        params[f"{base}.bias"] = np.zeros(shape[0], dtype=DTYPE)
+        try:
+            params[f"{base}.weight"] = rng.uniform(-limit, limit, size=shape).astype(DTYPE)
+            params[f"{base}.bias"] = np.zeros(shape[0], dtype=DTYPE)
+        except (MemoryError, ValueError) as exc:  # ValueError: more bytes than numpy can index
+            count = math.prod(shape) + shape[0]
+            raise ConfigError(f"{base} (layer {pos}): cannot allocate {count} parameters: {exc}")
         names.append(base)
     return Model(arch=config, layers=layers, params=params, conv_index=conv_index, _names=names)
 

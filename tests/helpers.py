@@ -1,4 +1,4 @@
-"""Shared test oracles.
+"""Shared test oracles and inputs.
 
 These deliberately re-derive results through independent routes (finite
 differences, brute-force pair counting) rather than re-using the
@@ -284,3 +284,15 @@ def auroc_pair_oracle(scores: np.ndarray, labels: np.ndarray) -> float:
     concordant = float((diff > 0).sum())
     tied = float((diff == 0).sum())
     return (concordant + 0.5 * tied) / (pos.size * neg.size)
+
+
+def unallocatable_layers(out_channels: int, num_classes: int) -> list[dict]:
+    """Explicit layers of a 1x28x28 model: a 1x1 conv with ``out_channels``
+    kernels, a flatten and a matching dense head. Keep ``out_channels`` at
+    2**40 or more, so that allocating the weights fails at once."""
+    return [
+        {"kind": "conv2d", "out_channels": out_channels, "in_channels": 1,
+         "kernel_h": 1, "kernel_w": 1},
+        {"kind": "flatten"},
+        {"kind": "dense", "in_features": out_channels * 28 * 28, "out_features": num_classes},
+    ]

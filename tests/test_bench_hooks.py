@@ -101,8 +101,7 @@ def test_train_epoch_on_two_pool_workers_traces_the_calling_thread_only(monkeypa
         assert name in names, name
 
 
-def test_cli_worker_count_is_readable(monkeypatch):
+def test_cli_worker_count_is_readable():
     """``bench/run.py`` reports ``inmerge.cli._worker_count()`` as cli.workers."""
-    monkeypatch.delenv("INMERGE_THREADS", raising=False)
     workers = inmerge.cli._worker_count()
     assert isinstance(workers, int) and workers >= 1

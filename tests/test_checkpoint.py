@@ -2,9 +2,12 @@
 
 import json
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from helpers import unallocatable_layers
 
 from inmerge import MergeConfig, synth_make
 from inmerge.checkpoint import MAGIC, load, save
@@ -267,6 +270,21 @@ class TestCorruptionDetection:
         assert main([command, "--checkpoint", str(path), *extra]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(path) in err
+
+    @pytest.mark.parametrize("command", ["eval", "analyze"])
+    def test_unallocatable_trailer_arch_exits_3(self, tmp_path, command):
+        """Run in a process of its own: after a failed malloc glibc moves the
+        calling thread to a new arena, which the heap tests must not inherit."""
+        _, _, path = write_checkpoint(tmp_path)
+        self._rewrite_trailer(path, set_arch(preset=None, layers=unallocatable_layers(2**40, 4)))
+        extra = ["--data", str(tmp_path / "nodata")] if command == "eval" else ["--layer", "0"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "inmerge.cli", command, "--checkpoint", str(path), *extra],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith(f"data error: {path}: trailer arch does not build")
+        assert "conv0 (layer 0): cannot allocate" in proc.stderr
 
     def test_unknown_format_exits_3(self, tmp_path, capsys):
         _, _, path = write_checkpoint(tmp_path)

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from helpers import unallocatable_layers
 
 from inmerge import checkpoint, synth_make
 from inmerge.cli import main
@@ -115,6 +116,25 @@ class TestTrainCommand:
         cfg = write_config(tmp_path, doc)
         assert main(["train", "--config", str(cfg)]) == 2
         assert "stride" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("log2_channels", [40, 62])  # numpy: MemoryError, ValueError
+    def test_unallocatable_model_exits_2_before_any_file(
+        self, dataset_dir, tmp_path, log2_channels
+    ):
+        """Run in a process of its own: after a failed malloc glibc moves the
+        calling thread to a new arena, which the heap tests must not inherit."""
+        doc = run_config(dataset_dir, tmp_path / "out", with_merge=False)
+        doc["arch"] = {"input_shape": [1, 28, 28], "num_classes": 2,
+                       "layers": unallocatable_layers(2**log2_channels, 2)}
+        cfg = write_config(tmp_path, doc)
+        proc = subprocess.run(
+            [sys.executable, "-m", "inmerge.cli", "train", "--config", str(cfg)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("config error: conv0 (layer 0): cannot allocate")
+        assert f"{2 ** (log2_channels + 1)} parameters" in proc.stderr  # weights and biases
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("section, key", [("train", "augment"), ("merge", "invert_gate")])
     def test_boolean_fields_accept_only_json_booleans(
@@ -447,6 +467,36 @@ class TestAblateCommand:
             for seed in ("11", "12"):
                 assert (out / f"p_{value}" / f"seed_{seed}" / "final.ckpt").is_file()
 
+    def test_cells_report_their_merges(self, tmp_path, capsys):
+        """At tau 0.1 the gate passes in tiny_cnn's shallow layers, so p = 1
+        merges and p = 0 never does; the CSVs count what the cells' logs say."""
+        handle = synth_make("gauss_blobs", 60, 4, 1, 28, 28, seed=0, task="multilabel")
+        save_dataset(handle, tmp_path / "data")
+        doc = run_config(tmp_path / "data", tmp_path / "unused", seed=0)
+        doc["arch"].update(num_classes=4, head="multilabel")
+        doc["train"]["batch_size"] = 64
+        doc["merge"]["sim_threshold"] = 0.1
+        out = tmp_path / "grid"
+        assert main([
+            "ablate", "--config", str(write_config(tmp_path, doc)), "--axis", "p",
+            "--values", "0.0,1.0", "--seeds", "0,1", "--out", str(out),
+        ]) == 0
+        cells = [line.split(",") for line in (out / "cells.csv").read_text().splitlines()]
+        assert cells[0] == ["axis", "value", "seed", "test_mean_auroc", "merges"]
+        merges = {(value, seed): int(n) for _, value, seed, _, n in cells[1:]}
+        for (value, seed), n in merges.items():
+            log = (out / f"p_{value}" / f"seed_{seed}" / "train_log.jsonl").read_text()
+            assert n == sum(json.loads(line)["merge_applied"] for line in log.splitlines())
+            assert (n > 0) == (value == "1.0"), (value, seed, n)
+        summary = [line.split(",") for line in (out / "summary.csv").read_text().splitlines()]
+        assert summary[0][-1] == "merges_mean"
+        for row in summary[1:]:
+            assert float(row[-1]) == (merges[row[1], "0"] + merges[row[1], "1"]) / 2
+        for seed in (0, 1):
+            p0, _, _ = checkpoint.load(out / "p_0.0" / f"seed_{seed}" / "final.ckpt")
+            p1, _, _ = checkpoint.load(out / "p_1.0" / f"seed_{seed}" / "final.ckpt")
+            assert any(not np.array_equal(p0.params[k], p1.params[k]) for k in p0.param_names())
+
     @pytest.mark.parametrize("empty", ["train", "val", "test"])
     def test_empty_split_exits_3_before_any_cell(self, tmp_path, capsys, empty):
         handle = synth_make("striped_textures", 20, 2, 1, 28, 28, seed=21)
@@ -476,40 +526,6 @@ class TestAblateCommand:
         base_model, _, _ = checkpoint.load(tmp_path / "base33" / "final.ckpt")
         for name in cell_model.param_names():
             assert np.array_equal(cell_model.params[name], base_model.params[name]), name
-
-    def test_parallel_workers_give_same_summary(self, dataset_dir, tmp_path, capsys, monkeypatch):
-        cfg = write_config(tmp_path, run_config(dataset_dir, tmp_path / "unused", seed=0))
-        out_serial = tmp_path / "gs"
-        assert main([
-            "ablate", "--config", str(cfg), "--axis", "alpha",
-            "--values", "0.8,1.0", "--seeds", "1", "--out", str(out_serial),
-        ]) == 0
-        monkeypatch.setenv("INMERGE_THREADS", "2")
-        out_par = tmp_path / "gp"
-        assert main([
-            "ablate", "--config", str(cfg), "--axis", "alpha",
-            "--values", "0.8,1.0", "--seeds", "1", "--out", str(out_par),
-        ]) == 0
-        assert (out_serial / "summary.csv").read_text() == (out_par / "summary.csv").read_text()
-
-    def test_every_file_is_the_same_on_two_threads(
-        self, dataset_dir, tmp_path, capsys, monkeypatch
-    ):
-        cfg = write_config(tmp_path, run_config(dataset_dir, tmp_path / "unused", seed=0))
-        trees = []
-        for threads in (None, "2"):
-            if threads is None:
-                monkeypatch.delenv("INMERGE_THREADS", raising=False)
-            else:
-                monkeypatch.setenv("INMERGE_THREADS", threads)
-            out = tmp_path / f"threads_{threads}"
-            assert main([
-                "ablate", "--config", str(cfg), "--axis", "p",
-                "--values", "0.0,1.0", "--seeds", "1,2", "--out", str(out),
-            ]) == 0
-            trees.append(tree_bytes(out))
-        assert len(trees[0]) == 2 + 4 * len(CONTENT_FILES + ("last.ckpt",))
-        assert trees[0] == trees[1]
 
     @pytest.mark.parametrize("epochs", [(1, 1), (0, 1), (1, 0)])
     def test_cells_equal_separate_train_runs(self, dataset_dir, tmp_path, capsys, epochs):

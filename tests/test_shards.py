@@ -2,6 +2,7 @@
 threads run them, and the calling thread keeps every check."""
 
 import os
+import subprocess
 import sys
 import threading
 
@@ -96,6 +97,14 @@ def test_missing_blas_symbol_falls_back_to_the_calling_thread(
     gather_threads.clear()
     assert step_bytes(TINY, 24) == want
     assert gather_threads == {threading.get_ident()}
+
+
+def test_import_without_sched_getaffinity():
+    """Only Linux has ``os.sched_getaffinity``; the pool then counts ``os.cpu_count()``."""
+    code = "import os; del os.sched_getaffinity; import inmerge.layers as L; print(L._POOL._workers)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert 1 <= int(proc.stdout) <= inmerge.layers.SHARDS
 
 
 def test_one_sample_runs_on_the_calling_thread(use_pool, gather_threads):
