@@ -7,7 +7,9 @@ Layout (single file, single-pass writable):
     header   UTF-8 JSON ``Header``: per tensor dtype, shape, offset, length
     payload  concatenated little-endian float32       P bytes
     trailer  UTF-8 JSON ``Trailer`` to EOF: config echo, training state
-             scalars, epoch log so far, RNG position
+             scalars, epoch log so far with each epoch's merge sweep
+             reports (older files load with none; older engines refuse
+             the key, so they load no file written since), RNG position
 
 Tensor names are namespaced: ``param/<name>`` for model parameters
 (each exactly once), ``momentum/<name>`` for optimizer velocity,
@@ -103,6 +105,11 @@ class Trailer:
             raise ConfigError(f"best_metric {st.best_metric} does not fit best_epoch {best}")
         if len(st.records) > done or any(r.epoch != i for i, r in enumerate(st.records)):
             raise ConfigError(f"records must hold epochs 0, 1, ... and at most {done}")
+        for r in st.records:  # records from older files have no sweeps to add up
+            sums = (len(r.sweeps), sum(s.draws for s in r.sweeps),
+                    sum(s.merges_applied for s in r.sweeps))
+            if r.sweeps and sums != (r.merge_sweeps, r.merge_draws, r.merge_applied):
+                raise ConfigError(f"state.records[{r.epoch}]: sweeps sum to {sums}, not its counts")
 
 
 def save(

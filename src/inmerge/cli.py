@@ -59,8 +59,8 @@ from .training import (
     check_run,
     evaluate,
     evaluate_with_logits,
+    metric_name,
     start_protocol,
-    val_metric_of,
 )
 
 # --axis token -> MergeConfig field
@@ -271,7 +271,7 @@ def cmd_ablate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    outcomes = {}
+    outcomes, name = {}, metric_name(handle.task)
     for seed in seeds:
         cfg = cfgs[values[0], seed]
         model, state = start_protocol(rc.arch, handle, cfg)
@@ -282,15 +282,14 @@ def cmd_ablate(args) -> int:
             result = _run_cell(start, handle, cfgs[value, seed], cell_dir, Path(rc.data.dir))
             test_bundle = evaluate(result.best_model, handle, "test")
             merges = sum(rec.merge_applied for rec in result.log.records)
-            outcomes[value, seed] = (val_metric_of(test_bundle, handle.task), merges)
+            outcomes[value, seed] = (getattr(test_bundle, name), merges)
 
-    metric_name = "accuracy" if handle.task == "multiclass" else "mean_auroc"
     with open(out_dir / "cells.csv", "w") as fh:
-        fh.write(f"axis,value,seed,test_{metric_name},merges\n")
+        fh.write(f"axis,value,seed,test_{name},merges\n")
         for value, seed in cfgs:  # value-major, as the cells were keyed
             metric, merges = outcomes[value, seed]
             fh.write(f"{args.axis},{value},{seed},{metric!r},{merges}\n")
-    lines = [f"axis,value,n_seeds,test_{metric_name}_mean,test_{metric_name}_std,merges_mean"]
+    lines = [f"axis,value,n_seeds,test_{name}_mean,test_{name}_std,merges_mean"]
     for value in values:
         metrics, merges = zip(*(outcomes[value, seed] for seed in seeds))
         mean = float(np.mean(metrics))

@@ -9,9 +9,9 @@ one JSON value, read into the target type by its annotations:
   rejected; an absent key takes the field default.
 - ``int``: an integer, not ``true``/``false``. ``float``: a finite
   number, an integer widened. ``str``: a string. ``bool``: a boolean.
-- ``X | None``: ``null`` or an X. ``tuple[T, ...]``: a list of T (a
-  ``tuple[T, T, T]`` too; its length is left to ``validate``).
-  ``dict[str, T]``: an object of T.
+- ``X | None``: ``null`` or an X. ``tuple[T, ...]`` and ``list[T]``: a
+  list of T (a ``tuple[T, T, T]`` too; its length is left to
+  ``validate``). ``dict[str, T]``: an object of T.
 
 Nothing is coerced. A mismatch raises the caller's error class and names
 the key path, e.g. ``run.json: train.merge.skip_layers: expected an
@@ -33,7 +33,7 @@ from .errors import ConfigError
 _hints = functools.cache(typing.get_type_hints)
 _EXPECTED = {
     int: "an integer", float: "a finite number", str: "a string", bool: "true or false",
-    tuple: "a list", dict: "an object",
+    tuple: "a list", list: "a list", dict: "an object",
 }
 
 
@@ -65,8 +65,8 @@ def _value(tp, value, path: str, defaults: dict):
     if origin in (types.UnionType, typing.Union):  # X | None
         (inner,) = [a for a in args if a is not type(None)]
         return None if value is None else _value(inner, value, path, defaults)
-    if origin is tuple and type(value) is list:  # a tuple[T, T, T] length is left to validate
-        return tuple(_value(args[0], v, f"{path}[{i}]", defaults) for i, v in enumerate(value))
+    if origin in (tuple, list) and type(value) is list:  # validate checks a tuple[T, T, T] length
+        return origin(_value(args[0], v, f"{path}[{i}]", defaults) for i, v in enumerate(value))
     if origin is dict and type(value) is dict:
         return {k: _value(args[1], v, f"{path}.{k}", defaults) for k, v in value.items()}
     if tp is float:

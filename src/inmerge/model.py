@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import copy
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -371,6 +372,8 @@ def build_model(config: ArchConfig, seed: int) -> Model:
     names: list[str | None] = []
     conv_index: dict[int, int] = {}
     counts: dict[str, int] = {}
+    known = {"SC_PHYS_PAGES", "SC_PAGE_SIZE"} <= set(getattr(os, "sysconf_names", ()))
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") if known else math.inf
     for pos, spec in enumerate(layers):
         kind = KINDS[spec.kind]
         if kind.prefix is None:
@@ -384,6 +387,8 @@ def build_model(config: ArchConfig, seed: int) -> Model:
         shape = kind.weight_shape(spec)
         limit = math.sqrt(6.0 / math.prod(shape[1:]))
         try:
+            if 8 * math.prod(shape) > memory:  # a failed malloc would move the thread's arena
+                raise MemoryError(f"its float64 draw exceeds the {memory} bytes of memory")
             params[f"{base}.weight"] = rng.uniform(-limit, limit, size=shape).astype(DTYPE)
             params[f"{base}.bias"] = np.zeros(shape[0], dtype=DTYPE)
         except (MemoryError, ValueError) as exc:  # ValueError: more bytes than numpy can index

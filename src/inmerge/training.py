@@ -13,16 +13,16 @@ never merges and never mutates.
 of an ablation grid (``cli``) pass it before their first epoch.
 
 Randomness per epoch comes from separate (seed, purpose, epoch) streams
-(see ``seeding``), so a run resumed from an epoch-boundary checkpoint is
-bit-identical to an uninterrupted one, and turning merging on or off
-cannot perturb shuffling or augmentation.
+(``seeding``), so a run resumed from an epoch-boundary checkpoint is
+bit-identical to an uninterrupted one, ``merge_reports.jsonl`` included,
+and turning merging on or off cannot perturb shuffling or augmentation.
 """
 
 from __future__ import annotations
 
 import logging
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -100,9 +100,10 @@ class EpochRecord:
     merge_draws: int
     merge_applied: int
     is_best: bool
+    sweeps: list[MergeReport] = field(default_factory=list)  # this epoch's; none in older files
 
-    def to_record(self) -> dict:
-        return asdict(self)
+    def to_record(self) -> dict:  # the train_log.jsonl line
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "sweeps"}
 
 
 @dataclass
@@ -114,14 +115,6 @@ class EpochStats:
     @property
     def sweeps(self) -> int:
         return len(self.sweep_reports)
-
-    @property
-    def merge_draws(self) -> int:
-        return sum(r.draws for r in self.sweep_reports)
-
-    @property
-    def merge_applied(self) -> int:
-        return sum(r.merges_applied for r in self.sweep_reports)
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
@@ -299,8 +292,8 @@ def predict_logits(model: Model, split: Split, data: DatasetHandle) -> np.ndarra
     return np.concatenate(outputs, axis=0)
 
 
-def val_metric_of(bundle: MetricBundle, task: str) -> float:
-    return bundle.accuracy if task == "multiclass" else bundle.mean_auroc
+def metric_name(task: str) -> str:  # the MetricBundle field that scores a task's runs
+    return "accuracy" if task == "multiclass" else "mean_auroc"
 
 
 @dataclass
@@ -317,13 +310,16 @@ class TrainState:
 
 @dataclass
 class ProtocolResult:
-    """A run's final and best-epoch models and its ``TrainState`` as ``log``."""
+    """A run's final and best-epoch models and its ``TrainState``, sweeps included, as ``log``."""
 
     model: Model  # final weights, all epochs applied
     best_model: Model  # weights of the best-validation epoch
     log: TrainState  # records, best epoch and metric, as the last epoch left them
-    # one record per sweep executed by THIS call (not carried across resume)
-    sweep_records: list[dict] = field(default_factory=list)
+
+    @property
+    def sweep_records(self) -> list[dict]:  # merge_reports.jsonl, epochs before a resume too
+        return [{"epoch": rec.epoch, "iteration": i, **rep.to_record()}
+                for rec in self.log.records for i, rep in enumerate(rec.sweeps)]
 
 
 def run_protocol(
@@ -374,14 +370,11 @@ def _advance(model, data, cfg, state, checkpoint_path, max_epochs) -> ProtocolRe
     stop = cfg.total_epochs
     if max_epochs is not None:
         stop = min(stop, state.epochs_done + max_epochs)
-    sweep_records: list[dict] = []
     for epoch in range(state.epochs_done, stop):
         phase = "pretrain" if epoch < cfg.epochs_pretrain else "inmerge"
         stats = train_epoch(model, data, cfg, phase, epoch, state.velocity)
-        for it, rep in enumerate(stats.sweep_reports):
-            sweep_records.append({"epoch": epoch, "iteration": it, **rep.to_record()})
         bundle = evaluate(model, data, "val")
-        metric = val_metric_of(bundle, data.task)
+        metric = getattr(bundle, metric_name(data.task))
         is_best = state.best_metric is None or metric > state.best_metric
         if is_best:
             state.best_metric = metric
@@ -396,9 +389,10 @@ def _advance(model, data, cfg, state, checkpoint_path, max_epochs) -> ProtocolRe
                 val_loss=bundle.loss,
                 val_metric=metric,
                 merge_sweeps=stats.sweeps,
-                merge_draws=stats.merge_draws,
-                merge_applied=stats.merge_applied,
+                merge_draws=sum(r.draws for r in stats.sweep_reports),
+                merge_applied=sum(r.merges_applied for r in stats.sweep_reports),
                 is_best=is_best,
+                sweeps=stats.sweep_reports,
             )
         )
         state.epochs_done = epoch + 1
@@ -408,6 +402,4 @@ def _advance(model, data, cfg, state, checkpoint_path, max_epochs) -> ProtocolRe
     if state.best_params is not None:
         for k, v in state.best_params.items():
             best_model.params[k][...] = v
-    return ProtocolResult(
-        model=model, best_model=best_model, log=state, sweep_records=sweep_records
-    )
+    return ProtocolResult(model=model, best_model=best_model, log=state)

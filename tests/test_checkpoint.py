@@ -2,8 +2,6 @@
 
 import json
 import struct
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -272,19 +270,16 @@ class TestCorruptionDetection:
         assert err.startswith("data error:") and str(path) in err
 
     @pytest.mark.parametrize("command", ["eval", "analyze"])
-    def test_unallocatable_trailer_arch_exits_3(self, tmp_path, command):
-        """Run in a process of its own: after a failed malloc glibc moves the
-        calling thread to a new arena, which the heap tests must not inherit."""
+    def test_unallocatable_trailer_arch_exits_3(self, tmp_path, capsys, command):
+        """In-process: ``build_model`` refuses the layer before numpy asks
+        malloc for it, so no later test inherits a failed malloc's arena."""
         _, _, path = write_checkpoint(tmp_path)
         self._rewrite_trailer(path, set_arch(preset=None, layers=unallocatable_layers(2**40, 4)))
         extra = ["--data", str(tmp_path / "nodata")] if command == "eval" else ["--layer", "0"]
-        proc = subprocess.run(
-            [sys.executable, "-m", "inmerge.cli", command, "--checkpoint", str(path), *extra],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 3, proc.stderr
-        assert proc.stderr.startswith(f"data error: {path}: trailer arch does not build")
-        assert "conv0 (layer 0): cannot allocate" in proc.stderr
+        assert main([command, "--checkpoint", str(path), *extra]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: trailer arch does not build"), err
+        assert "conv0 (layer 0): cannot allocate" in err
 
     def test_unknown_format_exits_3(self, tmp_path, capsys):
         _, _, path = write_checkpoint(tmp_path)
@@ -302,18 +297,27 @@ class TestCorruptionDetection:
             load(path)
 
 
+def merge_run(epochs_inmerge):
+    """A tiny_cnn run of 1 + ``epochs_inmerge`` epochs that sweeps 3 times an epoch."""
+    data = synth_make("striped_textures", 16, 4, 1, 28, 28, seed=9)
+    cfg = TrainConfig(
+        epochs_pretrain=1, epochs_inmerge=epochs_inmerge, batch_size=16, seed=9,
+        merge=MergeConfig(skip_layers=3, seed=9),
+    )
+    return data, cfg
+
+
 class TestResume:
-    def test_interrupted_equals_uninterrupted(self, tmp_path):
-        data = synth_make("striped_textures", 16, 4, 1, 28, 28, seed=9)
-        cfg = TrainConfig(
-            epochs_pretrain=1, epochs_inmerge=1, batch_size=16, seed=9,
-            merge=MergeConfig(skip_layers=3, seed=9),
-        )
+    @pytest.mark.parametrize(
+        "epochs_inmerge, max_epochs", [(1, 1), (2, 2)], ids=["after-pretrain", "inside-inmerge"]
+    )
+    def test_interrupted_equals_uninterrupted(self, tmp_path, epochs_inmerge, max_epochs):
+        data, cfg = merge_run(epochs_inmerge)
         straight = run_protocol(TINY, data, cfg)
 
         ckpt = tmp_path / "last.ckpt"
-        partial = run_protocol(TINY, data, cfg, checkpoint_path=ckpt, max_epochs=1)
-        assert len(partial.log.records) == 1
+        partial = run_protocol(TINY, data, cfg, checkpoint_path=ckpt, max_epochs=max_epochs)
+        assert len(partial.log.records) == max_epochs
         resumed = resume_protocol(ckpt, data)
 
         for name in straight.model.param_names():
@@ -326,6 +330,27 @@ class TestResume:
         assert [r.to_record() for r in straight.log.records] == [
             r.to_record() for r in resumed.log.records
         ]
+        assert len(straight.sweep_records) == 3 * epochs_inmerge
+        assert resumed.sweep_records == straight.sweep_records
+
+    def test_file_without_sweeps_loads_and_resumes(self, tmp_path):
+        """A trailer written before records held their sweeps still resumes;
+        only the epochs run after the resume report theirs."""
+        data, cfg = merge_run(2)
+        straight = run_protocol(TINY, data, cfg)
+        ckpt = tmp_path / "last.ckpt"
+        run_protocol(TINY, data, cfg, checkpoint_path=ckpt, max_epochs=2)
+
+        def drop_sweeps(trailer):
+            for record in trailer["state"]["records"]:
+                del record["sweeps"]
+
+        TestCorruptionDetection._rewrite_trailer(ckpt, drop_sweeps)
+        assert all(r.sweeps == [] for r in load(ckpt)[1].records)
+        resumed = resume_protocol(ckpt, data)
+        for name in straight.model.param_names():
+            assert np.array_equal(straight.model.params[name], resumed.model.params[name]), name
+        assert resumed.sweep_records == [r for r in straight.sweep_records if r["epoch"] == 2]
 
     def test_merge_without_conv_layer_refused_before_any_epoch(self, tmp_path):
         arch = ArchConfig(

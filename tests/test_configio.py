@@ -23,7 +23,7 @@ from inmerge.configio import decode
 from inmerge.data import Meta, load_dataset, save_dataset
 from inmerge.errors import ConfigError, CorruptHeaderError, DataError
 from inmerge.layers import conv_spec, dense_spec, flatten_spec, pool_spec, relu_spec
-from inmerge.merging import MergeConfig
+from inmerge.merging import LayerSweepStats, MergeConfig, MergeReport
 from inmerge.model import ArchConfig, build_model
 from inmerge.training import EpochRecord, TrainConfig, TrainState
 
@@ -50,9 +50,10 @@ UNCHAINED_LAYERS = [  # a 3-channel conv on 1-channel images
     {"kind": "flatten"},
     {"kind": "dense", "in_features": 2 * 26 * 26, "out_features": 2},
 ]
-RECORD = EpochRecord(
-    epoch=0, phase="pretrain", lr=0.01, train_loss=0.69, val_loss=0.7, val_metric=0.5,
-    merge_sweeps=0, merge_draws=0, merge_applied=0, is_best=True,
+RECORD = EpochRecord(  # an in-merge epoch of one sweep
+    epoch=0, phase="inmerge", lr=0.01, train_loss=0.69, val_loss=0.7, val_metric=0.5,
+    merge_sweeps=1, merge_draws=3, merge_applied=1, is_best=True,
+    sweeps=[MergeReport([LayerSweepStats(ordinal=3, kernels=16, draws=3, merges=1)])],
 )
 
 
@@ -68,7 +69,7 @@ def files(tmp_path_factory):
         velocity={k: np.zeros_like(v) for k, v in model.params.items()},
         best_epoch=0, best_metric=0.5, records=[RECORD],
     )
-    cfg = TrainConfig(epochs_pretrain=1, epochs_inmerge=1, seed=0, merge=MergeConfig(seed=0))
+    cfg = TrainConfig(epochs_pretrain=0, epochs_inmerge=2, seed=0, merge=MergeConfig(seed=0))
     checkpoint.save(model, state, (TINY, cfg), root / "model.ckpt")
     run = {
         "arch": {"preset": "tiny_cnn", "input_shape": [1, 28, 28], "num_classes": 2},
@@ -193,6 +194,10 @@ REGRESSIONS = {
         "trailer", lambda t: t["state"]["records"].append(asdict(replace(RECORD, epoch=1))),
         "records",
     ),
+    "trailer-sweeps-do-not-add-up": (
+        "trailer", lambda t: t["state"]["records"][0]["sweeps"][0]["layers"][0].update(draws=4),
+        "state.records",
+    ),
     "trailer-record-epoch-out-of-place": (
         "trailer", put("state.records", [asdict(replace(RECORD, epoch=1))]), "records"
     ),
@@ -300,6 +305,8 @@ def conforms(value, tp) -> bool:
         )
     if origin is types.UnionType:
         return any(conforms(value, a) for a in args)
+    if origin is list:
+        return type(value) is list and all(conforms(v, args[0]) for v in value)
     if origin is tuple:
         if type(value) is not tuple:
             return False

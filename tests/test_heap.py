@@ -7,8 +7,11 @@ import threading
 
 import numpy as np
 import pytest
+from helpers import unallocatable_layers
 
 import inmerge.layers
+from inmerge.configio import decode
+from inmerge.errors import ConfigError
 from inmerge.layers import softmax_ce_loss
 from inmerge.model import ArchConfig, build_model
 from inmerge.training import sgd_step
@@ -40,15 +43,36 @@ def _stepper(arch, n):
 WARM_STEP_FAULTS = 64
 
 
+def _faults(step) -> int:
+    """Minor page faults taken by one call of ``step``."""
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    step()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap settings are glibc's")
 @pytest.mark.parametrize("arch", [TINY, VGG], ids=["tiny_cnn", "small_vgg_d"])
 def test_warm_step_takes_few_page_faults(arch):
     step = _stepper(arch, 128)
     for _ in range(3):
         step()
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    step()
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    faults = _faults(step)
+    assert faults <= WARM_STEP_FAULTS, faults
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap settings are glibc's")
+def test_refused_layer_leaves_the_heap_as_it_was():
+    """A layer past physical memory is refused before numpy asks malloc for
+    it: a failed malloc would move this thread to a new glibc arena, where
+    a warm step takes thousands of faults."""
+    step = _stepper(TINY, 128)
+    step()  # the first step sets the heap up
+    doc = {"input_shape": [1, 28, 28], "num_classes": 2, "layers": unallocatable_layers(2**40, 2)}
+    with pytest.raises(ConfigError, match="cannot allocate"):
+        build_model(decode(ArchConfig, doc, ConfigError, "arch"), seed=0)
+    for _ in range(2):
+        step()
+    faults = _faults(step)
     assert faults <= WARM_STEP_FAULTS, faults
 
 
