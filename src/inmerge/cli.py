@@ -22,6 +22,11 @@ types and out-of-range values exit 2, naming the key path (``configio``).
 Every content-bearing artifact is deterministic: re-running a command
 with the same config yields byte-identical files. Wall-clock timing goes
 to a separate ``run_meta.json`` that is excluded from that guarantee.
+A ``train`` run or ``ablate`` cell whose merge sweeps drew kernels but
+merged none logs one warning to stderr (``logging``), naming tau and the
+range of pair similarities of each layer the sweeps touch; stdout and
+files stay as they are.
+
 ``ablate`` passes every cell's config through ``training.check_run``,
 test split included, before it creates ``--out``. It trains each seed's
 pretrain epochs once, since no merge setting touches them; each value's
@@ -35,6 +40,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import logging
 import shutil
 import sys
 import time
@@ -62,6 +68,8 @@ from .training import (
     metric_name,
     start_protocol,
 )
+
+logger = logging.getLogger(__name__)
 
 # --axis token -> MergeConfig field
 ABLATE_AXES = {
@@ -131,7 +139,26 @@ def _run_cell(start, handle, cfg, out_dir: Path, data_dir: Path) -> ProtocolResu
     velocity = {k: np.zeros_like(v) for k, v in result.best_model.params.items()}
     best_state = replace(result.log, velocity=velocity, best_params=None)
     checkpoint.save(result.best_model, best_state, (model.arch, cfg), out_dir / "best.ckpt")
+    _warn_if_never_merged(result, cfg.merge, out_dir)
     return result
+
+
+def _warn_if_never_merged(result: ProtocolResult, merge: MergeConfig | None, out_dir: Path):
+    """Log one warning when the run's sweeps drew kernels but merged none,
+    naming tau and the range of each swept layer's pair similarities at the
+    end of the run (its maximum is the one the default gate needed above tau)."""
+    draws = sum(rec.merge_draws for rec in result.log.records)
+    if merge is None or not draws or any(rec.merge_applied for rec in result.log.records):
+        return
+    ranges = []
+    for ordinal in range(merge.skip_layers, result.model.n_conv):
+        stats = similarity_stats(result.model, ordinal)
+        span = "none" if not stats.pairs else f"[{stats.minimum:.4f}, {stats.maximum:.4f}]"
+        ranges.append(f"conv{ordinal} {span}")
+    logger.warning(
+        "%s: %d merge draws, 0 merges at tau %s; pair similarities at the end: %s",
+        out_dir, draws, merge.sim_threshold, ", ".join(ranges),
+    )
 
 
 # ---------------------------------------------------------------------------

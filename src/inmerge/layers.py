@@ -46,22 +46,29 @@ Speed and memory:
   holds it (sharing by liveness, as in Chen et al. 2016) and a warm
   training step takes almost no new pages from the system.
 - conv2d lowers to GEMMs over patch matrices, all read from one
-  zero-padded input grid per shard. A batch whose patch matrix fits
+  zero-padded input grid per shard. Only a training forward (one that
+  returns caches) keeps patches: a batch whose patch matrix fits
   ``PATCH_KEEP_LIMIT`` keeps it, and forward hands it on to backward,
   whose weight gradient is one GEMM, patches @ g.T, on the calling thread.
   A larger batch runs in chunks of ``PATCH_BUDGET`` bytes of patches,
   consumed while still in cache; it keeps only its input, backward gathers
   the patches again, and its weight and bias gradients are summed chunk by
-  chunk. At stride 1 its forward GEMM runs on every grid position, whose
-  patches are kh*kw contiguous shifted runs. The rest read im2col columns
-  (Chellapilla et al. 2006), one per output: backward wants a kept batch's
-  patches at its outputs only, and at stride s the grid has s*s times the
-  columns. Backward's input gradient is one GEMM on a grid of the same
-  geometry and kh*kw shifted adds (sub-chunks of half the patch budget).
+  chunk. A forward-only call (evaluation, prediction) keeps nothing, so
+  its chunks are ``FORWARD_BUDGET`` bytes, sized to stay in a core's L2
+  while the GEMM reads them (cache blocking, Goto & van de Geijn 2008);
+  a batch whose patches fit one such chunk runs as a kept one, one chunk
+  per shard. At stride 1 a chunked forward's GEMM runs on every grid
+  position, whose patches are kh*kw contiguous shifted runs. The rest read
+  im2col columns (Chellapilla et al. 2006), one per output: backward wants
+  a kept batch's patches at its outputs only, and at stride s the grid has
+  s*s times the columns. Backward's input gradient is one GEMM on a grid
+  of the same geometry and kh*kw shifted adds (sub-chunks of half the
+  patch budget).
 - maxpool2d takes the running maximum over the ``window**2`` strided
   views of its input; backward routes through the same views. Neither
   uses ``np.copyto(where=)``, which costs ~10 ns an element, over ten
-  times an ``np.maximum`` of the same size.
+  times an ``np.maximum`` of the same size. A forward-only pool tracks no
+  argmaxes, which backward alone reads.
 - An activation lives only until backward has used it (``model``): relu's
   cache is its output, which is also the next layer's input, so the conv
   output before it is freed at once; a relu before a max-pool runs after
@@ -239,18 +246,25 @@ _POOL = ShardPool()
 # ---------------------------------------------------------------------------
 # conv2d
 
-# Both limits were sized on a 2-core Xeon (4 MiB L2 per core, shared L3)
-# by timing every ``tiny_cnn`` and ``small_vgg_d`` conv at batch 128 inside
-# a training step.
+# The two training limits were sized on a 2-core Xeon (4 MiB L2 per core,
+# shared L3) by timing every ``tiny_cnn`` and ``small_vgg_d`` conv at batch
+# 128 inside a training step.
 #
-# Bytes of im2col patches one batch chunk may gather. A chunk's patches are
-# consumed by its GEMMs while still in cache; 2-8 MiB were fastest.
+# Bytes of im2col patches one chunk of a training forward or of backward may
+# gather. A chunk's patches are consumed by its GEMMs while still in cache;
+# 2-8 MiB were fastest.
 PATCH_BUDGET = 8 << 20
 # Whole-batch patch matrices up to this size are gathered once and kept
 # for backward: chunking them saved no time, and gathering them again cost
 # more than it saved. Patches of 14-29 MB (tiny_cnn conv1/3, small_vgg_d
 # conv6) ran faster kept, those of 38 MB and up as fast or faster chunked.
 PATCH_KEEP_LIMIT = 32 << 20
+# Bytes of patches one chunk of a forward-only call may gather. Nothing is
+# kept, so a chunk need only stay in a core's L2 while its GEMM reads it.
+# Swept at 0.5, 1, 2 and 4 MiB on a 2-vCPU Sapphire Rapids (2 MiB L2 per
+# core): each ran whole-model forward passes 15-30 % faster than the
+# training plan, 1 MiB fastest on tiny_cnn, the rest within noise on both.
+FORWARD_BUDGET = 1 << 20
 
 
 def _conv_geometry(x, weight, bias, stride, padding):
@@ -272,16 +286,20 @@ def _grid(h: int, w: int, kh: int, kw: int, padding: int) -> tuple[int, int, int
 
 
 def _conv_chunks(
-    x: np.ndarray, weight: np.ndarray, h_out: int, w_out: int
+    x: np.ndarray, weight: np.ndarray, h_out: int, w_out: int, keep: bool
 ) -> tuple[int, list[list[tuple[int, int]]], bool]:
     """(step, shards, kept): the batch's (lo, hi) chunks of at most ``step``
-    samples, grouped into ``_shards``. A batch whose patches fit
-    ``PATCH_KEEP_LIMIT`` is kept: one patch matrix, one chunk per shard. A
-    larger one runs in chunks of as many samples as fit ``PATCH_BUDGET``."""
+    samples, grouped into ``_shards``. With ``keep`` (a training forward and
+    backward), a batch whose patches fit ``PATCH_KEEP_LIMIT`` is kept: one
+    patch matrix, one chunk per shard; a larger one runs in chunks of as many
+    samples as fit ``PATCH_BUDGET``. Without it (a forward-only call), chunks
+    fit ``FORWARD_BUDGET``, and a batch whose patches fit one such chunk runs
+    as a kept one does, one chunk per shard, but keeps nothing."""
     n = x.shape[0]
     per_sample = weight[0].size * h_out * w_out * x.dtype.itemsize
-    kept = n * per_sample <= PATCH_KEEP_LIMIT
-    step = max(1, -(-n // SHARDS) if kept else PATCH_BUDGET // per_sample)
+    limit, budget = (PATCH_KEEP_LIMIT, PATCH_BUDGET) if keep else (FORWARD_BUDGET,) * 2
+    kept = n * per_sample <= limit
+    step = max(1, -(-n // SHARDS) if kept else budget // per_sample)
     chunks = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
     return step, [chunks[lo:hi] for lo, hi in _shards(len(chunks))], kept
 
@@ -335,16 +353,18 @@ def conv2d_forward(
     is one dot product over the same patch column on every path (the
     module docstring says where BLAS still moves its bits).
 
-    ``_cols_out``, when given, receives the patch matrix of a kept batch,
-    so a following ``conv2d_backward`` can skip regathering it: hence kept
-    batches read im2col columns. A chunked batch's patches are not kept:
-    backward gathers them again, chunk by chunk, which holds far less memory.
+    ``_cols_out``, when given, marks a training forward and receives the
+    patch matrix of a kept batch, so a following ``conv2d_backward`` can
+    skip regathering it: hence kept batches read im2col columns. A chunked
+    batch's patches are not kept: backward gathers them again, chunk by
+    chunk, which holds far less memory. Without ``_cols_out`` nothing is
+    kept, and the batch runs in the forward-only chunks of ``_conv_chunks``.
     """
     h_out, w_out = _conv_geometry(x, weight, bias, stride, padding)
     n, c_in, h, w = x.shape
     c_out, _, kh, kw = weight.shape
     w2 = weight.reshape(c_out, -1)
-    step, shards, kept = _conv_chunks(x, weight, h_out, w_out)
+    step, shards, kept = _conv_chunks(x, weight, h_out, w_out, _cols_out is not None)
     on_grid = stride == 1 and not kept  # at stride s the grid has s*s times the columns
     gh, gw = _grid(h, w, kh, kw, padding)[:2] if on_grid else (h_out, w_out)
     dt = np.result_type(x, weight)
@@ -405,7 +425,7 @@ def conv2d_backward(
             f"conv2d_backward: grad shape {grad_out.shape} != {(n, c_out, h_out, w_out)}"
         )
     w2, k = weight.reshape(c_out, -1), c_in * kh * kw
-    step, shards, kept = _conv_chunks(x, weight, h_out, w_out)
+    step, shards, kept = _conv_chunks(x, weight, h_out, w_out, True)
     hw, dt, span_h, span_w = h_out * w_out, grad_out.dtype, stride * h_out, stride * w_out
     hp, wp, slack = _grid(h, w, kh, kw, padding)
     grid_floats = (c_out + k + c_in) * hp * wp  # a sample's output gradient, GEMM output, sums
@@ -517,13 +537,16 @@ def _tiles(a: np.ndarray, k: int, s: int, h_out: int, w_out: int) -> list[np.nda
     return [a[:, :, i : i + rows : s, j : j + cols : s] for i in range(k) for j in range(k)]
 
 
-def maxpool2d(x: np.ndarray, window: int, stride: int) -> tuple[np.ndarray, PoolCache]:
+def maxpool2d(
+    x: np.ndarray, window: int, stride: int, want_cache: bool = True
+) -> tuple[np.ndarray, PoolCache | None]:
     """Per-window maxima; ties go to the first row-major window position.
 
     The running maximum over the pool's ``window**2`` strided views reads
     the input once per view and never builds the window axis. Argmaxes
     are window positions, in the smallest integer dtype that holds
-    ``window**2 - 1``.
+    ``window**2 - 1``. Without ``want_cache`` (a forward-only call) none
+    is tracked, and the cache returned is None; the maxima are the same.
     """
     if x.ndim != 4:
         raise ShapeError(f"maxpool2d: need 4-d input, got {x.ndim}-d")
@@ -531,23 +554,27 @@ def maxpool2d(x: np.ndarray, window: int, stride: int) -> tuple[np.ndarray, Pool
     w_out = out_extent(x.shape[3], window, stride, 0, "maxpool2d width")
     shape = (x.shape[0], x.shape[1], h_out, w_out)
     out = np.empty(shape, x.dtype)
-    argmax = np.empty(shape, np.min_scalar_type(window * window - 1))
-    hits = np.empty(shape, argmax.dtype)  # the argmax's dtype, so hit * idx cannot overflow
+    if want_cache:
+        argmax = np.empty(shape, np.min_scalar_type(window * window - 1))
+        hits = np.empty(shape, argmax.dtype)  # the argmax's dtype, so hit * idx cannot overflow
 
     def run(lo, hi):
-        top, arg, hit = out[lo:hi], argmax[lo:hi], hits[lo:hi]
+        top = out[lo:hi]
         tiles = _tiles(x[lo:hi], window, stride, h_out, w_out)
-        arg.fill(0)
         np.copyto(top, tiles[0])
+        if want_cache:
+            arg, hit = argmax[lo:hi], hits[lo:hi]
+            arg.fill(0)
         for idx, tile in enumerate(tiles[1:], 1):
-            # positions rise tile by tile, so a new strict maximum holds the largest one yet
-            np.maximum(arg, np.multiply(np.greater(tile, top, out=hit), idx, out=hit), out=arg)
+            if want_cache:
+                # positions rise tile by tile, so a new strict maximum holds the largest one yet
+                np.maximum(arg, np.multiply(np.greater(tile, top, out=hit), idx, out=hit), out=arg)
             # propagates NaN, so ensure_finite still sees a NaN input
             np.maximum(tile, top, out=top)
 
     _POOL.map(run, _shards(len(x)))
     ensure_finite("maxpool2d", out)
-    return out, PoolCache(argmax, x.shape, window, stride)
+    return out, PoolCache(argmax, x.shape, window, stride) if want_cache else None
 
 
 def maxpool2d_backward(grad_out: np.ndarray, cache: PoolCache) -> np.ndarray:

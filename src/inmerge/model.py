@@ -221,6 +221,9 @@ class LayerKind:
     next layer's input in execution order, so no extra array), since
     ``relu(x) > 0`` exactly where ``x > 0``; the input it came from is
     freed after forward. A pre-pool relu's output is the pooled array.
+    Without ``want_cache`` a forward computes only its output: a conv keeps
+    no patches and runs in forward-only chunks, and a pool tracks no
+    argmaxes.
     """
 
     shape: Callable[[LayerSpec, tuple[int, ...]], tuple[int, ...]]
@@ -252,7 +255,7 @@ KINDS: dict[str, LayerKind] = {
     "maxpool2d": LayerKind(
         check=lambda s: pool_spec(s.window, s.stride),
         shape=lambda s, shape: _window_shape(shape, shape[0], s.window, s.window, s.stride, 0),
-        forward=lambda s, x, w, b, want_cache: maxpool2d(x, s.window, s.stride),
+        forward=lambda s, x, w, b, want_cache: maxpool2d(x, s.window, s.stride, want_cache),
         backward=lambda s, g, cache, w: maxpool2d_backward(g, cache),
     ),
     "flatten": LayerKind(

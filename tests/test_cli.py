@@ -14,6 +14,7 @@ from inmerge.cli import main
 from inmerge.data import save_dataset
 from inmerge.data import load_dataset
 from inmerge.layers import conv_spec, dense_spec, flatten_spec
+from inmerge.merging import similarity_stats
 from inmerge.model import ArchConfig, Model, build_model
 from inmerge.training import TrainConfig, TrainState
 
@@ -183,6 +184,31 @@ class TestTrainCommand:
         cfg = write_config(tmp_path, doc)
         assert main(["train", "--config", str(cfg)]) == 3
         assert capsys.readouterr().err.startswith("data error:")
+
+    def test_run_that_never_merges_logs_one_warning(self, dataset_dir, tmp_path, capsys, caplog):
+        """At the default tau no pair of tiny_cnn's conv3-5 kernels passes the
+        gate: the run says so once, naming the range of each swept layer's
+        pair similarities, and prints only its summary line on stdout."""
+        cfg = write_config(tmp_path, run_config(dataset_dir, tmp_path / "run"))
+        with caplog.at_level("WARNING", logger="inmerge"):
+            assert main(["train", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.count("\n") == 1
+        [record] = caplog.records
+        head, _, sims = record.getMessage().rpartition(": ")
+        draws = sum(
+            json.loads(line)["merge_draws"]
+            for line in (tmp_path / "run" / "train_log.jsonl").read_text().splitlines()
+        )
+        assert record.name == "inmerge.cli" and draws > 0
+        assert head == (
+            f"{tmp_path / 'run'}: {draws} merge draws, 0 merges at tau 0.3; "
+            "pair similarities at the end"
+        )
+        model, _, _ = checkpoint.load(tmp_path / "run" / "final.ckpt")
+        stats = [similarity_stats(model, k) for k in (3, 4, 5)]
+        assert sims == ", ".join(
+            f"conv{s.ordinal} [{s.minimum:.4f}, {s.maximum:.4f}]" for s in stats
+        )
 
     def test_out_flag_overrides_config(self, dataset_dir, tmp_path):
         cfg = write_config(tmp_path, run_config(dataset_dir, tmp_path / "ignored"))
@@ -493,6 +519,17 @@ class TestAblateCommand:
             p0, _, _ = checkpoint.load(out / "p_0.0" / f"seed_{seed}" / "final.ckpt")
             p1, _, _ = checkpoint.load(out / "p_1.0" / f"seed_{seed}" / "final.ckpt")
             assert any(not np.array_equal(p0.params[k], p1.params[k]) for k in p0.param_names())
+
+    def test_only_cells_that_draw_and_never_merge_warn(self, dataset_dir, tmp_path, capsys, caplog):
+        cfg = write_config(tmp_path, run_config(dataset_dir, tmp_path / "unused", seed=0))
+        out = tmp_path / "grid"
+        with caplog.at_level("WARNING", logger="inmerge"):
+            assert main([
+                "ablate", "--config", str(cfg), "--axis", "p",
+                "--values", "0.0,1.0", "--seeds", "5", "--out", str(out),
+            ]) == 0
+        messages = [record.getMessage() for record in caplog.records]
+        assert len(messages) == 1 and messages[0].startswith(f"{out / 'p_1.0' / 'seed_5'}: ")
 
     @pytest.mark.parametrize("empty", ["train", "val", "test"])
     def test_empty_split_exits_3_before_any_cell(self, tmp_path, capsys, empty):

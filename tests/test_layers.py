@@ -224,7 +224,8 @@ class TestConvChunks:
             np.testing.assert_allclose(chunked, whole, rtol=1e-5, atol=1e-5 * np.abs(whole).max())
 
     def test_finite_differences_across_chunks(self, monkeypatch):
-        monkeypatch.setattr(inmerge.layers, "PATCH_BUDGET", 1)  # one sample per chunk
+        for name in ("PATCH_BUDGET", "FORWARD_BUDGET"):  # one sample per chunk
+            monkeypatch.setattr(inmerge.layers, name, 1)
         monkeypatch.setattr(inmerge.layers, "PATCH_KEEP_LIMIT", 0)
         for seed in range(5):
             err = gradcheck_case("conv2d", seed)
@@ -260,23 +261,27 @@ def _grid_calls(mp) -> list:
 
 
 def _forward_against_oracle(x, w, b, stride, padding, keep_limit, budget):
-    """(output, oracle output) of ``conv2d_forward`` under the given limits,
-    split into 1, 2 and 3 shards; the oracle gathers im2col patches at the
-    same chunks. Asserts that the padded grid ran exactly for a chunked
-    stride-1 batch."""
+    """(output, oracle output) of ``conv2d_forward`` in one plan, split into
+    1, 2 and 3 shards: with a ``keep_limit``, a training forward's
+    (``_cols_out`` given) under that ``PATCH_KEEP_LIMIT`` and ``budget`` as
+    ``PATCH_BUDGET``; with None, a forward-only call's, ``budget`` as
+    ``FORWARD_BUDGET``. The oracle gathers im2col patches at the same
+    chunks. Asserts that the padded grid ran exactly for a chunked stride-1
+    batch."""
     h_out = (x.shape[2] + 2 * padding - w.shape[2]) // stride + 1
     w_out = (x.shape[3] + 2 * padding - w.shape[3]) // stride + 1
-    runs = []
+    keep, runs = keep_limit is not None, []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(inmerge.layers, "PATCH_KEEP_LIMIT", keep_limit)
-        mp.setattr(inmerge.layers, "PATCH_BUDGET", budget)
+        if keep:
+            mp.setattr(inmerge.layers, "PATCH_KEEP_LIMIT", keep_limit)
+        mp.setattr(inmerge.layers, "PATCH_BUDGET" if keep else "FORWARD_BUDGET", budget)
         calls = _grid_calls(mp)
         for count in (1, 2, 3):
             mp.setattr(inmerge.layers, "SHARDS", count)
-            _, shards, kept = inmerge.layers._conv_chunks(x, w, h_out, w_out)
+            _, shards, kept = inmerge.layers._conv_chunks(x, w, h_out, w_out, keep)
             chunks = [chunk for shard in shards for chunk in shard]
             calls.clear()
-            got = conv2d_forward(x, w, b, stride, padding)
+            got = conv2d_forward(x, w, b, stride, padding, _cols_out=[] if keep else None)
             assert len(calls) == (0 if kept or stride > 1 else len(shards))
             want = conv_forward_oracle(x, w, b, stride, padding, chunks)
             assert got.dtype == want.dtype and got.shape == want.shape
@@ -285,8 +290,9 @@ def _forward_against_oracle(x, w, b, stride, padding, keep_limit, budget):
 
 
 class TestConvGrid:
-    """A chunked stride-1 batch's forward runs on the zero-padded grid and,
-    at the preset layers, keeps the bytes of the im2col path it replaces."""
+    """A chunked stride-1 batch's forward, in a training forward or a
+    forward-only call, runs on the zero-padded grid and, at the preset
+    layers, keeps the bytes of the im2col path it replaces."""
 
     @pytest.mark.parametrize("n", [128, 37])
     @pytest.mark.parametrize(
@@ -300,13 +306,15 @@ class TestConvGrid:
     def test_every_preset_conv(self, arch, n):
         """Each conv, forced to chunks and at the default limits, gives the
         oracle's bytes; at batch 37 also those of the whole batch kept (the
-        kept batch-128 patch matrices of 38-302 MB would only cost memory)."""
+        kept batch-128 patch matrices of 38-302 MB would only cost memory).
+        A forward-only call, in its own chunks, gives the same bytes."""
         rng = np.random.default_rng(n + 1)
         for spec, shape in _preset_convs(arch):
             x = rng.normal(size=(n, *shape)).astype(np.float32)
             w = rng.normal(size=(spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w))
             w, b = w.astype(np.float32), rng.normal(size=spec.out_channels).astype(np.float32)
-            outs, budget = [], inmerge.layers.PATCH_BUDGET
+            outs = [conv2d_forward(x, w, b, spec.stride, spec.padding).tobytes()]
+            budget = inmerge.layers.PATCH_BUDGET
             for limit in [0, inmerge.layers.PATCH_KEEP_LIMIT] + [1 << 40] * (n == 37):
                 for got, want in _forward_against_oracle(
                     x, w, b, spec.stride, spec.padding, limit, budget
@@ -337,7 +345,7 @@ class TestConvGrid:
         b = rng.normal(size=c_out).astype(np.float32)
         samples = data.draw(st.integers(1, n))  # per chunk, so the last chunk may be short
         budget = samples * c_in * kh * kw * h_out * w_out * 4
-        keep_limit = data.draw(st.sampled_from([0, 1 << 40]))
+        keep_limit = data.draw(st.sampled_from([0, 1 << 40, None]))  # None: forward-only
         # Each output is the oracle's dot product, but BLAS picks its kernel by
         # the GEMM's shape, so matrix-vector products and small GEMMs (about one
         # case in thirty here, all with 36 or 45 patch rows) may sum in another
@@ -391,7 +399,8 @@ class TestConvGrid:
         x[4, 1, 2, 3] = np.nan
         w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
         monkeypatch.setattr(inmerge.layers, "PATCH_KEEP_LIMIT", 0)
-        monkeypatch.setattr(inmerge.layers, "PATCH_BUDGET", 1)  # one sample per chunk
+        for name in ("PATCH_BUDGET", "FORWARD_BUDGET"):  # one sample per chunk in either plan
+            monkeypatch.setattr(inmerge.layers, name, 1)
         threads = []
         ensure_finite = inmerge.layers.ensure_finite
 
@@ -401,9 +410,12 @@ class TestConvGrid:
 
         monkeypatch.setattr(inmerge.layers, "ensure_finite", spy)
         calls = _grid_calls(monkeypatch)
-        with pytest.raises(NumericError, match="conv2d_forward"):
-            conv2d_forward(x, w, np.zeros(4, np.float32), 1, 1)
-        assert len(calls) == inmerge.layers.SHARDS and threads == [threading.main_thread()]
+        for cols in ([], None):  # a training forward, then a forward-only call
+            threads.clear()
+            calls.clear()
+            with pytest.raises(NumericError, match="conv2d_forward"):
+                conv2d_forward(x, w, np.zeros(4, np.float32), 1, 1, _cols_out=cols)
+            assert len(calls) == inmerge.layers.SHARDS and threads == [threading.main_thread()]
 
 
 def _preset_convs(arch):
@@ -423,7 +435,7 @@ def _assert_backward_matches_oracle(x, w, g, stride, padding, keep_limit, budget
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(inmerge.layers, "PATCH_KEEP_LIMIT", keep_limit)
         mp.setattr(inmerge.layers, "PATCH_BUDGET", budget)
-        _, shards, kept = inmerge.layers._conv_chunks(x, w, *g.shape[2:])
+        _, shards, kept = inmerge.layers._conv_chunks(x, w, *g.shape[2:], True)
         chunks = [(0, len(x))] if kept else [chunk for shard in shards for chunk in shard]
         expected = conv_backward_oracle(g, x, w, stride, padding, chunks)
         for count in (1, 2, 3):
@@ -515,6 +527,8 @@ class TestPoolAgainstLoopOracle:
     @staticmethod
     def check(x, window, stride, rng):
         out, cache = maxpool2d(x, window, stride)
+        bare, none = maxpool2d(x, window, stride, want_cache=False)  # tracks no argmax
+        assert none is None and bare.tobytes() == out.tobytes()
         g = rng.normal(size=out.shape).astype(np.float32)
         g.flat[::3] = -0.0  # the input gradient must hold +0.0 for these
         want_out, want_argmax, want_gx = maxpool_loop_oracle(x, window, stride, g)
@@ -552,8 +566,9 @@ class TestPoolAgainstLoopOracle:
     def test_nan_propagates_through_forward(self, at):
         x = np.zeros((1, 1, 4, 4), np.float32)
         x[0, 0, at[0], at[1]] = np.nan
-        with pytest.raises(NumericError):
-            maxpool2d(x, 2, 2)
+        for want_cache in (True, False):
+            with pytest.raises(NumericError, match="maxpool2d"):
+                maxpool2d(x, 2, 2, want_cache)
 
 
 class TestDense:

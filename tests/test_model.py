@@ -227,6 +227,20 @@ def test_conv_caches_keep_patches_only_within_limit():
     assert set(grads) == set(model.params)
 
 
+@pytest.mark.parametrize(
+    "arch, n",
+    [*((TINY, n) for n in (1, 6, 7, 32, 64, 256, 298)), *((VGG, n) for n in (1, 37, 96))],
+    ids=lambda v: v.preset if isinstance(v, ArchConfig) else str(v),
+)
+def test_forward_only_logits_equal_a_training_forwards(arch, n):
+    """Without caches, forward runs its own plan (conv chunks of
+    ``FORWARD_BUDGET``, no kept patches, no pool argmaxes); its logits keep
+    a training forward's bytes, at batches that fit one forward-only chunk
+    or many, and at those the training forward keeps or chunks."""
+    model = build_model(arch, seed=5)
+    x = np.random.default_rng(n).normal(size=(n, *arch.input_shape)).astype(np.float32)
+    assert model.forward(x).tobytes() == model.forward(x, want_caches=True)[0].tobytes()
+
 
 # explicit stacks on 2-channel inputs: (input extent, extent after the
 # middle layers, middle layers), each between a conv and
