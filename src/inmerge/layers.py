@@ -85,7 +85,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import LabelDomainError, ShapeError
 from .tensor import ensure_finite, log_softmax, out_extent, sigmoid
@@ -267,7 +267,22 @@ PATCH_KEEP_LIMIT = 32 << 20
 FORWARD_BUDGET = 1 << 20
 
 
-def _conv_geometry(x, weight, bias, stride, padding):
+def _grid(h: int, w: int, kh: int, kw: int, padding: int) -> tuple[int, int, int]:
+    """(Hp, Wp, slack): a padded grid's extents; its furthest shift, i*Wp + j."""
+    return h + 2 * padding, w + 2 * padding, (kh - 1) * (w + 2 * padding) + kw - 1
+
+
+def _conv_plan(x, weight, bias, stride, padding, keep):
+    """(h_out, w_out, step, shards, kept) of a conv2d call, its shapes checked:
+    (lo, hi) chunks of at most ``step`` samples, grouped into ``_shards``.
+    With ``keep`` (training forward and backward), a batch whose patches fit
+    ``PATCH_KEEP_LIMIT`` is kept, one patch matrix and one chunk per shard;
+    a larger one runs in chunks of ``PATCH_BUDGET`` bytes of patches. Without
+    it (forward-only), chunks fit ``FORWARD_BUDGET``, and a batch that fits
+    one runs as a kept one, one chunk per shard, but keeps nothing. Forward
+    does not hand its plan to backward: ``conv2d_backward`` is public, is
+    often called without forward patches, and gets the same plan from the
+    same shapes."""
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d: need 4-d input/weight, got {x.ndim}-d/{weight.ndim}-d")
     c_out, c_in, kh, kw = weight.shape
@@ -277,59 +292,36 @@ def _conv_geometry(x, weight, bias, stride, padding):
         raise ShapeError(f"conv2d: bias shape {bias.shape} != ({c_out},)")
     h_out = out_extent(x.shape[2], kh, stride, padding, "conv2d height")
     w_out = out_extent(x.shape[3], kw, stride, padding, "conv2d width")
-    return h_out, w_out
-
-
-def _grid(h: int, w: int, kh: int, kw: int, padding: int) -> tuple[int, int, int]:
-    """(Hp, Wp, slack): a padded grid's extents; its furthest shift, i*Wp + j."""
-    return h + 2 * padding, w + 2 * padding, (kh - 1) * (w + 2 * padding) + kw - 1
-
-
-def _conv_chunks(
-    x: np.ndarray, weight: np.ndarray, h_out: int, w_out: int, keep: bool
-) -> tuple[int, list[list[tuple[int, int]]], bool]:
-    """(step, shards, kept): the batch's (lo, hi) chunks of at most ``step``
-    samples, grouped into ``_shards``. With ``keep`` (a training forward and
-    backward), a batch whose patches fit ``PATCH_KEEP_LIMIT`` is kept: one
-    patch matrix, one chunk per shard; a larger one runs in chunks of as many
-    samples as fit ``PATCH_BUDGET``. Without it (a forward-only call), chunks
-    fit ``FORWARD_BUDGET``, and a batch whose patches fit one such chunk runs
-    as a kept one does, one chunk per shard, but keeps nothing."""
-    n = x.shape[0]
-    per_sample = weight[0].size * h_out * w_out * x.dtype.itemsize
+    n, per_sample = x.shape[0], weight[0].size * h_out * w_out * x.dtype.itemsize
     limit, budget = (PATCH_KEEP_LIMIT, PATCH_BUDGET) if keep else (FORWARD_BUDGET,) * 2
     kept = n * per_sample <= limit
     step = max(1, -(-n // SHARDS) if kept else budget // per_sample)
     chunks = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
-    return step, [chunks[lo:hi] for lo, hi in _shards(len(chunks))], kept
+    return h_out, w_out, step, [chunks[lo:hi] for lo, hi in _shards(len(chunks))], kept
 
 
 def _gatherer(x, weight, stride, padding, h_out, w_out, step, whole, on_grid):
     """``gather(lo, hi)``: the patch matrix of a chunk of at most ``step``
-    samples, read from a zeroed (C, step*Hp*Wp + slack) grid that the chunk
-    is copied into. On the grid, it is the kh*kw runs of the grid shifted by
-    i*Wp + j, a column per grid position; otherwise, im2col columns, one per
-    output, in samples [lo, hi) of ``whole`` (a kept batch's (C, kh, kw, N,
-    h_out, w_out) patches) or in room for one chunk. The spatial axes stay
-    minor, so every copy runs over long contiguous spans."""
+    samples, copied into a zeroed (C, step*Hp*Wp + slack) grid and read
+    through one strided view as (C, kh, kw, m, gh, gw) patches: patch (c, i,
+    j) of column (s, y, x) is grid row c at s*Hp*Wp + (t*y + i)*Wp + t*x + j.
+    On the grid, t = 1 and (gh, gw) = (Hp, Wp): a column per grid position.
+    Otherwise t is the stride and (gh, gw) = (h_out, w_out): im2col columns,
+    one per output, in samples [lo, hi) of ``whole`` (a kept batch's (C, kh,
+    kw, N, h_out, w_out) patches) or in room for one chunk. The spatial axes
+    stay minor, so every copy runs over long contiguous spans."""
     (c_in, kh, kw), (h, w) = weight.shape[1:], x.shape[2:]
     hp, wp, slack = _grid(h, w, kh, kw, padding)
     grid = np.zeros((c_in, step * hp * wp + slack), x.dtype)  # only interiors are written
-    gh, gw = (hp, wp) if on_grid else (h_out, w_out)
+    gh, gw, t = (hp, wp, 1) if on_grid else (h_out, w_out, stride)
     room = np.empty((c_in, kh, kw, step, gh, gw), x.dtype) if whole is None else None
-    isz = x.dtype.itemsize
+    strides = (grid.strides[0], *(e * x.dtype.itemsize for e in (wp, 1, hp * wp, t * wp, t)))
 
     def gather(lo, hi):
         planes = grid[:, : (hi - lo) * hp * wp].reshape(c_in, hi - lo, hp, wp)
         np.copyto(planes[..., padding:, padding:][..., :h, :w], x[lo:hi].transpose(1, 0, 2, 3))
         patches = whole[:, :, :, lo:hi] if room is None else room[:, :, :, : hi - lo]
-        if on_grid:
-            runs = patches.reshape(c_in, kh, kw, -1)
-            np.copyto(runs, as_strided(grid, runs.shape, (grid.strides[0], wp * isz, isz, isz)))
-        else:
-            win = sliding_window_view(planes, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-            # (C, m, h_out, w_out, kh, kw) -> (C, kh, kw, m, h_out, w_out)
-            np.copyto(patches, win.transpose(0, 4, 5, 1, 2, 3))
+        np.copyto(patches, as_strided(grid, patches.shape, strides))
         return patches.reshape(c_in * kh * kw, -1)
 
     return gather
@@ -345,33 +337,31 @@ def conv2d_forward(
 ) -> np.ndarray:
     """Cross-correlate an NCHW batch with OIHW kernels, zero padding.
 
-    The batch runs in the chunks of ``_conv_chunks``, one pool job per
+    The batch runs in the chunks of its ``_conv_plan``, one pool job per
     shard: each chunk goes into the shard's padded grid (``_gatherer``),
-    whose patches are read and multiplied while they are in cache. A
-    chunked stride-1 batch multiplies every grid position and keeps the
-    valid ones; the rest read im2col columns, one per output. Each output
-    is one dot product over the same patch column on every path (the
-    module docstring says where BLAS still moves its bits).
+    whose patches are multiplied while they are in cache. A chunked
+    stride-1 batch multiplies every grid position and keeps the valid
+    ones; the rest read im2col columns, one per output. Each output is one
+    dot product over the same patch column on every path (the module
+    docstring says where BLAS still moves its bits).
 
-    ``_cols_out``, when given, marks a training forward and receives the
-    patch matrix of a kept batch, so a following ``conv2d_backward`` can
-    skip regathering it: hence kept batches read im2col columns. A chunked
-    batch's patches are not kept: backward gathers them again, chunk by
-    chunk, which holds far less memory. Without ``_cols_out`` nothing is
-    kept, and the batch runs in the forward-only chunks of ``_conv_chunks``.
+    ``_cols_out``, when given, marks a training forward and receives a kept
+    batch's patch matrix, so ``conv2d_backward`` need not gather it again
+    (hence kept batches read im2col columns); a chunked batch's patches
+    are gathered again, chunk by chunk, which holds far less memory.
+    Without ``_cols_out`` nothing is kept, and the plan is forward-only.
     """
-    h_out, w_out = _conv_geometry(x, weight, bias, stride, padding)
+    keep = _cols_out is not None
+    h_out, w_out, step, shards, kept = _conv_plan(x, weight, bias, stride, padding, keep)
     n, c_in, h, w = x.shape
     c_out, _, kh, kw = weight.shape
     w2 = weight.reshape(c_out, -1)
-    step, shards, kept = _conv_chunks(x, weight, h_out, w_out, _cols_out is not None)
     on_grid = stride == 1 and not kept  # at stride s the grid has s*s times the columns
     gh, gw = _grid(h, w, kh, kw, padding)[:2] if on_grid else (h_out, w_out)
     dt = np.result_type(x, weight)
     out = np.empty((n, c_out, h_out, w_out), dt)
-    cols = None
-    if kept and _cols_out is not None:
-        cols = np.empty((c_in, kh, kw, n, h_out, w_out), x.dtype)
+    cols = np.empty((c_in, kh, kw, n, h_out, w_out), x.dtype) if kept and keep else None
+    if cols is not None:
         _cols_out.append(cols.reshape(c_in * kh * kw, n * h_out * w_out))
 
     def run(chunks, gather, gemm):
@@ -417,15 +407,14 @@ def conv2d_backward(
     sums that start at +0.0 and so never hold -0.0, and each element gets
     its terms in (i, j) order, as in a scatter of the valid columns alone.
     """
+    h_out, w_out, step, shards, kept = _conv_plan(x, weight, None, stride, padding, True)
     c_out, c_in, kh, kw = weight.shape
-    h_out, w_out = _conv_geometry(x, weight, None, stride, padding)
     n, _, h, w = x.shape
     if grad_out.shape != (n, c_out, h_out, w_out):
         raise ShapeError(
             f"conv2d_backward: grad shape {grad_out.shape} != {(n, c_out, h_out, w_out)}"
         )
     w2, k = weight.reshape(c_out, -1), c_in * kh * kw
-    step, shards, kept = _conv_chunks(x, weight, h_out, w_out, True)
     hw, dt, span_h, span_w = h_out * w_out, grad_out.dtype, stride * h_out, stride * w_out
     hp, wp, slack = _grid(h, w, kh, kw, padding)
     grid_floats = (c_out + k + c_in) * hp * wp  # a sample's output gradient, GEMM output, sums
@@ -472,10 +461,9 @@ def conv2d_backward(
         return parts
 
     jobs = []
+    args = (x, weight, stride, padding, h_out, w_out, step, whole, False)
     for chunks in shards:  # scratch taken in shard order, as in conv2d_forward
-        gather = cols is None and _gatherer(
-            x, weight, stride, padding, h_out, w_out, step, whole, False
-        )
+        gather = cols is None and _gatherer(*args)
         g_buf = None if kept else np.empty((c_out * step * hw,), dt)
         grid = need_input_grad and np.empty((sub * grid_floats + c_in * slack,), dt)
         jobs.append((chunks, gather, g_buf, grid))

@@ -21,7 +21,6 @@ sweep replayable from its seed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -108,22 +107,19 @@ class MergeReport:
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """dot(a, b) / (|a| |b|), computed in float64, clamped to [-1, 1].
+    """dot(a, b) / (|a| |b|), computed in float64, clamped to [-1, 1]: the
+    pair's entry of ``_cosine_matrix``.
 
-    Raises NumericError when either norm is <= 1e-12; gating logic treats
-    that case as a failed gate instead of calling this.
+    Raises NumericError when either norm is <= 1e-12 (or NaN); gating logic
+    treats that case as a failed gate instead of calling this.
     """
-    a = np.ravel(a)
-    b = np.ravel(b)
+    a, b = np.ravel(a), np.ravel(b)
     if a.shape != b.shape:
         raise ShapeError(f"cosine_similarity: lengths {a.size} != {b.size}")
-    a64 = a.astype(np.float64, copy=False)
-    b64 = b.astype(np.float64, copy=False)
-    naa = float(a64 @ a64)
-    nbb = float(b64 @ b64)
-    if naa <= NORM_EPS**2 or nbb <= NORM_EPS**2:
-        raise NumericError("cosine_similarity: zero-norm vector")
-    return float(np.clip((a64 @ b64) / math.sqrt(naa * nbb), -1.0, 1.0))
+    sim, masked = _cosine_matrix(np.stack([a, b]))
+    if masked.any():
+        raise NumericError("cosine_similarity: zero or NaN norm")
+    return float(sim[0, 1])
 
 
 def _cosine_matrix(weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -260,17 +260,17 @@ def _grid_calls(mp) -> list:
     return calls
 
 
-def _forward_against_oracle(x, w, b, stride, padding, keep_limit, budget):
+def _forward_against_oracle(x, w, b, stride, padding, keep_limit, budget, oracles=None):
     """(output, oracle output) of ``conv2d_forward`` in one plan, split into
     1, 2 and 3 shards: with a ``keep_limit``, a training forward's
     (``_cols_out`` given) under that ``PATCH_KEEP_LIMIT`` and ``budget`` as
     ``PATCH_BUDGET``; with None, a forward-only call's, ``budget`` as
     ``FORWARD_BUDGET``. The oracle gathers im2col patches at the same
-    chunks. Asserts that the padded grid ran exactly for a chunked stride-1
-    batch."""
-    h_out = (x.shape[2] + 2 * padding - w.shape[2]) // stride + 1
-    w_out = (x.shape[3] + 2 * padding - w.shape[3]) // stride + 1
+    chunks, once per distinct chunk list; ``oracles`` (chunk list -> oracle
+    output) may share them between calls on the same arrays. Asserts that
+    the padded grid ran exactly for a chunked stride-1 batch."""
     keep, runs = keep_limit is not None, []
+    oracles = {} if oracles is None else oracles
     with pytest.MonkeyPatch.context() as mp:
         if keep:
             mp.setattr(inmerge.layers, "PATCH_KEEP_LIMIT", keep_limit)
@@ -278,12 +278,14 @@ def _forward_against_oracle(x, w, b, stride, padding, keep_limit, budget):
         calls = _grid_calls(mp)
         for count in (1, 2, 3):
             mp.setattr(inmerge.layers, "SHARDS", count)
-            _, shards, kept = inmerge.layers._conv_chunks(x, w, h_out, w_out, keep)
-            chunks = [chunk for shard in shards for chunk in shard]
+            *_, shards, kept = inmerge.layers._conv_plan(x, w, b, stride, padding, keep)
+            chunks = tuple(chunk for shard in shards for chunk in shard)
             calls.clear()
             got = conv2d_forward(x, w, b, stride, padding, _cols_out=[] if keep else None)
             assert len(calls) == (0 if kept or stride > 1 else len(shards))
-            want = conv_forward_oracle(x, w, b, stride, padding, chunks)
+            if chunks not in oracles:  # a chunked plan's chunks do not depend on SHARDS
+                oracles[chunks] = conv_forward_oracle(x, w, b, stride, padding, chunks)
+            want = oracles[chunks]
             assert got.dtype == want.dtype and got.shape == want.shape
             runs.append((got, want))
     return runs
@@ -314,10 +316,10 @@ class TestConvGrid:
             w = rng.normal(size=(spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w))
             w, b = w.astype(np.float32), rng.normal(size=spec.out_channels).astype(np.float32)
             outs = [conv2d_forward(x, w, b, spec.stride, spec.padding).tobytes()]
-            budget = inmerge.layers.PATCH_BUDGET
+            budget, oracles = inmerge.layers.PATCH_BUDGET, {}
             for limit in [0, inmerge.layers.PATCH_KEEP_LIMIT] + [1 << 40] * (n == 37):
                 for got, want in _forward_against_oracle(
-                    x, w, b, spec.stride, spec.padding, limit, budget
+                    x, w, b, spec.stride, spec.padding, limit, budget, oracles
                 ):
                     assert got.tobytes() == want.tobytes(), (spec, n, limit)
                     outs.append(got.tobytes())
@@ -435,7 +437,7 @@ def _assert_backward_matches_oracle(x, w, g, stride, padding, keep_limit, budget
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(inmerge.layers, "PATCH_KEEP_LIMIT", keep_limit)
         mp.setattr(inmerge.layers, "PATCH_BUDGET", budget)
-        _, shards, kept = inmerge.layers._conv_chunks(x, w, *g.shape[2:], True)
+        *_, shards, kept = inmerge.layers._conv_plan(x, w, None, stride, padding, True)
         chunks = [(0, len(x))] if kept else [chunk for shard in shards for chunk in shard]
         expected = conv_backward_oracle(g, x, w, stride, padding, chunks)
         for count in (1, 2, 3):
