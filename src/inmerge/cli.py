@@ -29,16 +29,18 @@ files stay as they are.
 
 ``ablate`` passes every cell's config through ``training.check_run``,
 test split included, before it creates ``--out``. It trains each seed's
-pretrain epochs once, since no merge setting touches them; each value's
-cell continues from its own copy and writes what ``train`` on the cell's
-config would. Seeds run one after another, each seed's cells in turn;
-every layer spreads its batch over the cores (``layers.ShardPool``).
+pretrain epochs once, since no merge setting touches them. Each cell
+saves that prefix under its own config as ``last.ckpt`` and finishes it
+with ``training.resume_protocol``, as ``train`` does its untrained start,
+so it writes what ``train`` on its config would; a failed run leaves
+``last.ckpt`` at its last finished epoch, or at its start. Seeds run one
+after another, each seed's cells in turn; every layer spreads its batch
+over the cores (``layers.ShardPool``).
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import logging
 import shutil
@@ -61,12 +63,12 @@ from .tensor import log_softmax, sigmoid
 from .training import (
     ProtocolResult,
     TrainConfig,
-    _advance,
     check_run,
     evaluate,
     evaluate_with_logits,
     metric_name,
-    start_protocol,
+    resume_protocol,
+    run_protocol,
 )
 
 logger = logging.getLogger(__name__)
@@ -125,14 +127,12 @@ def _write_run_artifacts(out_dir: Path, result: ProtocolResult, echo: dict) -> N
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def _run_cell(start, handle, cfg, out_dir: Path, data_dir: Path) -> ProtocolResult:
-    """Continue ``start`` (model, TrainState) under ``cfg``; write every artifact
-    into ``out_dir``. ``best.ckpt`` has zero velocity: evaluate it, resume from last."""
-    model, state = start
-    ckpt = out_dir / "last.ckpt"
-    if state.epochs_done == cfg.total_epochs:  # no epoch left to save this config
-        checkpoint.save(model, state, (model.arch, cfg), ckpt)
-    result = _advance(model, handle, cfg, state, ckpt, None)
+def _run_cell(start: ProtocolResult, handle, cfg, out_dir: Path, data_dir: Path) -> ProtocolResult:
+    """Save the prefix ``start`` (not mutated) under ``cfg`` as ``last.ckpt``, finish it with
+    ``resume_protocol``, write every artifact into ``out_dir``. ``best.ckpt`` has zero velocity."""
+    model, ckpt = start.model, out_dir / "last.ckpt"
+    checkpoint.save(model, start.log, (model.arch, cfg), ckpt)
+    result = resume_protocol(ckpt, handle)
     echo = {"arch": asdict(model.arch), "data": {"dir": str(data_dir)}, "train": asdict(cfg)}
     _write_run_artifacts(out_dir, result, echo)
     shutil.copyfile(out_dir / "last.ckpt", out_dir / "final.ckpt")
@@ -170,7 +170,7 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out or rc.output)
     handle = load_dataset(rc.data.dir)
     started = time.time()
-    start = start_protocol(rc.arch, handle, rc.train)
+    start = run_protocol(rc.arch, handle, rc.train, max_epochs=0)
     result = _run_cell(start, handle, rc.train, out_dir, Path(rc.data.dir))
     (out_dir / "run_meta.json").write_text(
         _dump_json({"started_unix": started, "duration_s": time.time() - started})
@@ -301,11 +301,9 @@ def cmd_ablate(args) -> int:
     outcomes, name = {}, metric_name(handle.task)
     for seed in seeds:
         cfg = cfgs[values[0], seed]
-        model, state = start_protocol(rc.arch, handle, cfg)
-        _advance(model, handle, cfg, state, None, cfg.epochs_pretrain)
+        start = run_protocol(rc.arch, handle, cfg, max_epochs=cfg.epochs_pretrain)
         for value in values:
             cell_dir = out_dir / f"{args.axis}_{value}" / f"seed_{seed}"
-            start = copy.deepcopy((model, state))  # this cell's own (model, state)
             result = _run_cell(start, handle, cfgs[value, seed], cell_dir, Path(rc.data.dir))
             test_bundle = evaluate(result.best_model, handle, "test")
             merges = sum(rec.merge_applied for rec in result.log.records)

@@ -33,12 +33,12 @@ float32, while gradient-checking tests may pass float64.
 
 Speed and memory:
 
-- Batch shards use every core. conv2d, relu and max-pool run their batch
-  as ``SHARDS`` shards (conv2d: groups of its chunks) on ``ShardPool``,
+- Batch shards use every core. conv2d and max-pool run their batch as
+  ``SHARDS`` shards (conv2d: groups of its chunks) on ``ShardPool``,
   whose threads, like the calling one, use one BLAS thread each, so
   results are byte-identical for any worker count and, but for the
-  exception above, any ``SHARDS``. Checks (``ensure_finite``) run on the
-  calling thread.
+  exception above, any ``SHARDS``. relu, which a shard would not speed
+  up, and the checks (``ensure_finite``) run on the calling thread.
 - Every array the layers write is taken on the calling thread, a shard's
   scratch once per call: an ``np.empty``, or ``np.zeros`` for a padded
   grid, whose border is read. ``ShardPool`` has glibc keep them on the
@@ -487,21 +487,13 @@ def conv2d_backward(
 
 
 def relu(x: np.ndarray) -> np.ndarray:
-    out = np.empty(x.shape, x.dtype)
-    _POOL.map(lambda lo, hi: np.maximum(x[lo:hi], 0, out=out[lo:hi]), _shards(len(x)))
-    return out
+    return np.maximum(x, 0)
 
 
 def relu_backward(grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:
     if grad_out.shape != x.shape:
         raise ShapeError(f"relu_backward: grad shape {grad_out.shape} != {x.shape}")
-    out, mask = np.empty(x.shape, grad_out.dtype), np.empty(x.shape, np.bool_)
-
-    def run(lo, hi):
-        np.multiply(grad_out[lo:hi], np.greater(x[lo:hi], 0, out=mask[lo:hi]), out=out[lo:hi])
-
-    _POOL.map(run, _shards(len(x)))
-    return out
+    return grad_out * (x > 0)
 
 
 # ---------------------------------------------------------------------------

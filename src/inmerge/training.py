@@ -9,7 +9,7 @@ strictly best validation metric is kept as the "best" model. Evaluation
 never merges and never mutates.
 
 ``check_run`` is the one rule for whether a run may start: a fresh run
-(``start_protocol``), a resumed one (``resume_protocol``) and every cell
+(``run_protocol``), a resumed one (``resume_protocol``) and every cell
 of an ablation grid (``cli``) pass it before their first epoch.
 
 Randomness per epoch comes from separate (seed, purpose, epoch) streams
@@ -329,26 +329,17 @@ def run_protocol(
     checkpoint_path=None,
     max_epochs: int | None = None,
 ) -> ProtocolResult:
-    """Pretrain + merge-finetune protocol from scratch.
+    """Pretrain + merge-finetune protocol from scratch, after ``check_run``.
 
     With ``checkpoint_path`` the full state is saved there after every
     epoch, enabling ``resume_protocol``. ``max_epochs`` caps how many
     epochs this call executes (for budgeted or deliberately interrupted
-    runs); the returned result then reflects the partial run.
+    runs); the result then reflects the partial run: at 0, the untrained start.
     """
-    model, state = start_protocol(arch, data, cfg)
-    return _advance(model, data, cfg, state, checkpoint_path, max_epochs)
-
-
-def start_protocol(arch: ArchConfig, data: DatasetHandle, cfg: TrainConfig):
-    """``check_run``, then the fresh (model, TrainState) a run starts from."""
     check_run(arch, data, cfg)
     model = build_model(arch, cfg.seed)
-    state = TrainState(
-        epochs_done=0,
-        velocity={k: np.zeros_like(v) for k, v in model.params.items()},
-    )
-    return model, state
+    velocity = {k: np.zeros_like(v) for k, v in model.params.items()}
+    return _advance(model, data, cfg, TrainState(0, velocity), checkpoint_path, max_epochs)
 
 
 def resume_protocol(
@@ -369,6 +360,8 @@ def _advance(model, data, cfg, state, checkpoint_path, max_epochs) -> ProtocolRe
 
     stop = cfg.total_epochs
     if max_epochs is not None:
+        if not isinstance(max_epochs, int) or max_epochs < 0:
+            raise ConfigError(f"max_epochs must be None or an integer >= 0, got {max_epochs!r}")
         stop = min(stop, state.epochs_done + max_epochs)
     for epoch in range(state.epochs_done, stop):
         phase = "pretrain" if epoch < cfg.epochs_pretrain else "inmerge"

@@ -9,14 +9,15 @@ import numpy as np
 import pytest
 from helpers import unallocatable_layers
 
-from inmerge import checkpoint, synth_make
+from inmerge import checkpoint, synth_make, training
 from inmerge.cli import main
 from inmerge.data import save_dataset
 from inmerge.data import load_dataset
+from inmerge.errors import NumericError
 from inmerge.layers import conv_spec, dense_spec, flatten_spec
 from inmerge.merging import similarity_stats
 from inmerge.model import ArchConfig, Model, build_model
-from inmerge.training import TrainConfig, TrainState
+from inmerge.training import TrainConfig, TrainState, resume_protocol
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +66,37 @@ def tree_bytes(root):
         for p in root.rglob("*")
         if p.is_file() and p.name != "run_meta.json"
     }
+
+
+def stopped_run(monkeypatch, epoch, argv):
+    """``main(argv)`` with a ``NumericError`` injected into every training
+    epoch numbered ``epoch``; returns its exit code."""
+    real = training.train_epoch
+
+    def failing(model, data, cfg, phase, at, velocity):
+        if at == epoch:
+            raise NumericError(f"injected in epoch {at}")
+        return real(model, data, cfg, phase, at, velocity)
+
+    monkeypatch.setattr(training, "train_epoch", failing)
+    try:
+        return main(argv)
+    finally:
+        monkeypatch.undo()
+
+
+def assert_resumes_to(ckpt, epochs_done, dataset_dir, alone):
+    """``ckpt`` stands at ``epochs_done``, and ``resume_protocol`` finishes it
+    with the final weights, log and ``last.ckpt`` of the uninterrupted run
+    written to ``alone``."""
+    assert checkpoint.load(ckpt)[1].epochs_done == epochs_done
+    result = resume_protocol(ckpt, load_dataset(dataset_dir))
+    final, _, _ = checkpoint.load(alone / "final.ckpt")
+    for name in final.param_names():
+        assert np.array_equal(result.model.params[name], final.params[name]), name
+    log = "".join(json.dumps(r.to_record(), sort_keys=True) + "\n" for r in result.log.records)
+    assert log == (alone / "train_log.jsonl").read_text()
+    assert ckpt.read_bytes() == (alone / "last.ckpt").read_bytes()
 
 
 class TestTrainCommand:
@@ -209,6 +241,17 @@ class TestTrainCommand:
         assert sims == ", ".join(
             f"conv{s.ordinal} [{s.minimum:.4f}, {s.maximum:.4f}]" for s in stats
         )
+
+    def test_run_stopped_in_epoch_0_resumes_bit_exactly(
+        self, dataset_dir, tmp_path, capsys, monkeypatch
+    ):
+        stopped = write_config(tmp_path, run_config(dataset_dir, tmp_path / "stopped"), "s.json")
+        assert stopped_run(monkeypatch, 0, ["train", "--config", str(stopped)]) == 4
+        assert "injected in epoch 0" in capsys.readouterr().err
+        assert not (tmp_path / "stopped" / "final.ckpt").exists()
+        alone = write_config(tmp_path, run_config(dataset_dir, tmp_path / "alone"), "a.json")
+        assert main(["train", "--config", str(alone)]) == 0
+        assert_resumes_to(tmp_path / "stopped" / "last.ckpt", 0, dataset_dir, tmp_path / "alone")
 
     def test_out_flag_overrides_config(self, dataset_dir, tmp_path):
         cfg = write_config(tmp_path, run_config(dataset_dir, tmp_path / "ignored"))
@@ -582,6 +625,23 @@ class TestAblateCommand:
                 if epochs[1] == 0:  # the cell trained no epoch of its own
                     _, _, (_, cfg) = checkpoint.load(cell / "last.ckpt")
                     assert cfg.merge.merge_prob == value
+
+    def test_stopped_cell_continues_bit_exactly(self, dataset_dir, tmp_path, capsys, monkeypatch):
+        """A cell that fails in its first epoch after the seed's pretraining
+        leaves ``last.ckpt`` at that prefix, under the cell's own config."""
+        doc = run_config(dataset_dir, tmp_path / "unused", seed=0, epochs=(1, 1))
+        out = tmp_path / "grid"
+        assert stopped_run(monkeypatch, 1, [
+            "ablate", "--config", str(write_config(tmp_path, doc)), "--axis", "p",
+            "--values", "1.0,0.0", "--seeds", "5", "--out", str(out),
+        ]) == 4
+        assert "injected in epoch 1" in capsys.readouterr().err
+        cell = out / "p_1.0" / "seed_5"
+        assert sorted(p.name for p in cell.iterdir()) == ["last.ckpt"]
+        alone_doc = run_config(dataset_dir, tmp_path / "alone", seed=5, epochs=(1, 1))
+        alone_doc["merge"]["merge_prob"] = 1.0
+        assert main(["train", "--config", str(write_config(tmp_path, alone_doc, "a.json"))]) == 0
+        assert_resumes_to(cell / "last.ckpt", 1, dataset_dir, tmp_path / "alone")
 
     def test_invalid_axis_and_values(self, dataset_dir, tmp_path, capsys):
         cfg = write_config(tmp_path, run_config(dataset_dir, tmp_path / "unused"))

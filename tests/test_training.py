@@ -1,10 +1,13 @@
 """Training engine: optimizer math, schedule, protocol bookkeeping,
 baseline equivalence, and whole-stack regressions."""
 
+import re
+
 import numpy as np
 import pytest
 
 from inmerge import MergeConfig, synth_make
+from inmerge.checkpoint import save
 from inmerge.data import DatasetHandle, Split
 from inmerge.errors import ConfigError, DataError, NumericError
 from inmerge import training
@@ -13,6 +16,7 @@ from inmerge.training import (
     TrainConfig,
     evaluate,
     lr_at,
+    resume_protocol,
     run_protocol,
     sgd_step,
     train_epoch,
@@ -291,6 +295,24 @@ class TestProtocol:
         res_b = run_protocol(TINY, data, with_merge)
         assert params_equal(res_a.model.params, res_b.model.params)
         assert params_equal(res_a.best_model.params, res_b.best_model.params)
+
+    def test_max_epochs_zero_returns_the_untrained_start(self):
+        cfg = TrainConfig(epochs_pretrain=1, epochs_inmerge=0, batch_size=16, seed=4)
+        result = run_protocol(TINY, small_data(), cfg, max_epochs=0)
+        assert result.log.epochs_done == 0 and result.log.records == []
+        assert params_equal(result.model.params, build_model(TINY, 4).params)
+
+    @pytest.mark.parametrize("max_epochs", [-3, 1.5, "2"])
+    def test_max_epochs_must_be_a_count(self, tmp_path, max_epochs):
+        data = small_data()
+        cfg = TrainConfig(epochs_pretrain=1, epochs_inmerge=0, batch_size=16, seed=4)
+        start = run_protocol(TINY, data, cfg, max_epochs=0)
+        save(start.model, start.log, (TINY, cfg), tmp_path / "start.ckpt")
+        named = re.escape(f"got {max_epochs!r}")
+        with pytest.raises(ConfigError, match=named):
+            run_protocol(TINY, data, cfg, max_epochs=max_epochs)
+        with pytest.raises(ConfigError, match=named):
+            resume_protocol(tmp_path / "start.ckpt", data, max_epochs=max_epochs)
 
     def test_empty_dataset_rejected(self):
         data = small_data()
