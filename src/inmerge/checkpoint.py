@@ -6,10 +6,10 @@ Layout (single file, single-pass writable):
     u64      header length, little-endian             8 bytes
     header   UTF-8 JSON ``Header``: per tensor dtype, shape, offset, length
     payload  concatenated little-endian float32       P bytes
-    trailer  UTF-8 JSON ``Trailer`` to EOF: config echo, training state
-             scalars, epoch log so far with each epoch's merge sweep
-             reports (older files load with none; older engines refuse
-             the key, so they load no file written since), RNG position
+    trailer  UTF-8 JSON ``Trailer`` to EOF: config echo (``model.arch`` and
+             the TrainConfig), training state scalars, epoch log so far with
+             each epoch's merge sweep reports (older files load with none; older
+             engines refuse the key, so they load no file written since), RNG position
 
 Tensor names are namespaced: ``param/<name>`` for model parameters
 (each exactly once), ``momentum/<name>`` for optimizer velocity,
@@ -112,14 +112,9 @@ class Trailer:
                 raise ConfigError(f"state.records[{r.epoch}]: sweeps sum to {sums}, not its counts")
 
 
-def save(
-    model: Model,
-    state: TrainState,
-    configs: tuple[ArchConfig, TrainConfig],
-    path: str | Path,
-) -> None:
-    """Write model + optimizer/merge state + config echo atomically."""
-    arch, train_cfg = configs
+def save(model: Model, state: TrainState, train_cfg: TrainConfig, path: str | Path) -> None:
+    """Write model + optimizer/merge state + config echo atomically; the
+    trailer's arch is ``model.arch``."""
     tensors: dict[str, np.ndarray] = {}
     for name in model.param_names():
         tensors[f"param/{name}"] = model.params[name]
@@ -143,7 +138,7 @@ def save(
     # no TrailerConfigs here: its legacy merge field would be written as null
     trailer = json.dumps(
         {
-            "configs": {"arch": asdict(arch), "train": asdict(train_cfg)},
+            "configs": {"arch": asdict(model.arch), "train": asdict(train_cfg)},
             "state": asdict(TrailerState(
                 state.epochs_done, state.best_epoch, state.best_metric, tuple(state.records)
             )),
@@ -165,8 +160,9 @@ def save(
     os.replace(tmp, path)
 
 
-def load(path: str | Path) -> tuple[Model, TrainState, tuple[ArchConfig, TrainConfig]]:
-    """Read a checkpoint back; exact inverse of ``save``."""
+def load(path: str | Path) -> tuple[Model, TrainState, TrainConfig]:
+    """Read a checkpoint back; exact inverse of ``save``. The model is built
+    from the trailer's arch, so ``model.arch`` is the arch it was saved with."""
     blob = Path(path).read_bytes()
     if len(blob) < len(MAGIC) + 8:
         raise TruncatedFileError(f"{path}: {len(blob)} bytes is too short for a header")
@@ -215,9 +211,9 @@ def load(path: str | Path) -> tuple[Model, TrainState, tuple[ArchConfig, TrainCo
         Trailer, blob[payload_start + payload_bytes :], CorruptHeaderError,
         f"{path}: unreadable trailer",
     )
-    arch, train_cfg = trailer.configs.arch, trailer.configs.train
+    train_cfg = trailer.configs.train
     try:
-        model = build_model(arch, train_cfg.seed)
+        model = build_model(trailer.configs.arch, train_cfg.seed)
     except ConfigError as exc:
         raise CorruptHeaderError(f"{path}: trailer arch does not build: {exc}") from None
     namespaces = ["param", "momentum"]
@@ -258,4 +254,4 @@ def load(path: str | Path) -> tuple[Model, TrainState, tuple[ArchConfig, TrainCo
         best_params=best_params,
         records=list(trailer.state.records),
     )
-    return model, state, (arch, train_cfg)
+    return model, state, train_cfg

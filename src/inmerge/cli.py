@@ -131,14 +131,14 @@ def _run_cell(start: ProtocolResult, handle, cfg, out_dir: Path, data_dir: Path)
     """Save the prefix ``start`` (not mutated) under ``cfg`` as ``last.ckpt``, finish it with
     ``resume_protocol``, write every artifact into ``out_dir``. ``best.ckpt`` has zero velocity."""
     model, ckpt = start.model, out_dir / "last.ckpt"
-    checkpoint.save(model, start.log, (model.arch, cfg), ckpt)
+    checkpoint.save(model, start.log, cfg, ckpt)
     result = resume_protocol(ckpt, handle)
     echo = {"arch": asdict(model.arch), "data": {"dir": str(data_dir)}, "train": asdict(cfg)}
     _write_run_artifacts(out_dir, result, echo)
     shutil.copyfile(out_dir / "last.ckpt", out_dir / "final.ckpt")
     velocity = {k: np.zeros_like(v) for k, v in result.best_model.params.items()}
     best_state = replace(result.log, velocity=velocity, best_params=None)
-    checkpoint.save(result.best_model, best_state, (model.arch, cfg), out_dir / "best.ckpt")
+    checkpoint.save(result.best_model, best_state, cfg, out_dir / "best.ckpt")
     _warn_if_never_merged(result, cfg.merge, out_dir)
     return result
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import copy
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -134,14 +134,19 @@ def resolve_layers(config: ArchConfig) -> list[LayerSpec]:
 
 def _walk_shapes(layers: list[LayerSpec], input_shape: tuple[int, ...]) -> tuple[int, ...]:
     """Validate the stack by field checks and shape inference; returns the
-    per-sample output shape. Raises ShapeError on any inconsistency."""
+    per-sample output shape. Raises ShapeError on any inconsistency, a field
+    that the kind's ``check`` would not set to the spec's value included."""
     shape = tuple(input_shape)
     for pos, spec in enumerate(layers):
         try:
             if spec.kind not in KINDS:
                 raise ShapeError(f"unknown layer kind {spec.kind!r}")
             kind = KINDS[spec.kind]
-            kind.check(spec)
+            built = kind.check(spec)
+            stray = {f.name: getattr(spec, f.name) for f in fields(spec)
+                     if getattr(spec, f.name) != getattr(built, f.name)}
+            if stray:
+                raise ShapeError(f"fields that do not apply to {spec.kind}: {stray}")
             shape = kind.shape(spec, shape)
         except ShapeError as exc:
             raise ShapeError(f"layer {pos} ({spec.kind}): {exc}") from None
@@ -206,7 +211,8 @@ def _conv_forward(s: LayerSpec, x, w, b, want_cache: bool):
 class LayerKind:
     """How one layer kind takes part in a model.
 
-    check     raises ShapeError when the spec's fields are invalid
+    check     the spec as its kind's constructor builds it from the spec's
+              fields; raises ShapeError when they are invalid
     shape     (spec, per-sample input shape) -> per-sample output shape
     forward   (spec, x, weight, bias, want_cache) -> (output, cache)
     backward  (spec, grad, cache, weight) -> input grad; with parameters
@@ -229,7 +235,7 @@ class LayerKind:
     shape: Callable[[LayerSpec, tuple[int, ...]], tuple[int, ...]]
     forward: Callable
     backward: Callable
-    check: Callable[[LayerSpec], object] = lambda s: None
+    check: Callable[[LayerSpec], LayerSpec]
     prefix: str | None = None
     weight_shape: Callable[[LayerSpec], tuple[int, ...]] | None = None
 
@@ -248,6 +254,7 @@ KINDS: dict[str, LayerKind] = {
         weight_shape=lambda s: (s.out_channels, s.in_channels, s.kernel_h, s.kernel_w),
     ),
     "relu": LayerKind(
+        check=lambda s: relu_spec(),
         shape=lambda s, shape: shape,
         forward=lambda s, x, w, b, want_cache: ((y := relu(x)), y),
         backward=lambda s, g, y, w: relu_backward(g, y),
@@ -259,6 +266,7 @@ KINDS: dict[str, LayerKind] = {
         backward=lambda s, g, cache, w: maxpool2d_backward(g, cache),
     ),
     "flatten": LayerKind(
+        check=lambda s: flatten_spec(),
         shape=lambda s, shape: (math.prod(shape),),
         forward=lambda s, x, w, b, want_cache: (flatten_forward(x), x.shape),
         backward=lambda s, g, in_shape, w: flatten_backward(g, in_shape),

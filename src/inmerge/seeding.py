@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 # Purpose tags. Values are part of the reproducibility contract: changing
 # them changes every derived stream.
 INIT = 1
@@ -24,6 +26,6 @@ LABEL_NOISE = 6
 def stream(seed: int, purpose: int, epoch: int | None = None) -> np.random.Generator:
     """Generator for the (seed, purpose[, epoch]) stream."""
     if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     entropy = [seed, purpose] if epoch is None else [seed, purpose, epoch]
     return np.random.default_rng(np.random.SeedSequence(entropy))

@@ -3,14 +3,18 @@
 The protocol is: ``epochs_pretrain`` standard epochs, then
 ``epochs_inmerge`` epochs in which a merge sweep runs at the start of
 every iteration, before the forward pass, so the merged weights are the
-ones the step trains. The learning-rate schedule runs over the combined
-epoch count. Validation happens every epoch; the earliest epoch with the
-strictly best validation metric is kept as the "best" model. Evaluation
-never merges and never mutates.
+ones the step trains (``TrainConfig.phase`` names an epoch's phase). The
+learning-rate schedule runs over the combined epoch count. Validation
+happens every epoch; the earliest epoch with the strictly best validation
+metric is kept as the "best" model. Evaluation never merges and never
+mutates.
 
 ``check_run`` is the one rule for whether a run may start: a fresh run
 (``run_protocol``), a resumed one (``resume_protocol``) and every cell
 of an ablation grid (``cli``) pass it before their first epoch.
+``run_protocol`` saves nothing; a checkpointed run is ``run_protocol(...,
+max_epochs=0)``, then ``checkpoint.save``, then ``resume_protocol``, which
+saves after every epoch.
 
 Randomness per epoch comes from separate (seed, purpose, epoch) streams
 (``seeding``), so a run resumed from an epoch-boundary checkpoint is
@@ -37,7 +41,6 @@ from .tensor import sigmoid
 
 logger = logging.getLogger(__name__)
 
-PHASES = ("pretrain", "inmerge")
 EVAL_BATCH = 256  # fixed so metrics reproduce bit-exactly in any context
 
 
@@ -59,12 +62,18 @@ class TrainConfig:
     def total_epochs(self) -> int:
         return self.epochs_pretrain + self.epochs_inmerge
 
+    def phase(self, epoch: int) -> str:
+        return "pretrain" if epoch < self.epochs_pretrain else "inmerge"
+
     def resolved_milestones(self) -> tuple[int, ...]:
         if self.milestones is not None:
             return self.milestones
         return (int(0.75 * self.total_epochs),)
 
     def validate(self) -> None:
+        for name in ("lr0", "gamma", "weight_decay"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lr0 <= 0:
             raise ConfigError(f"lr0 must be > 0, got {self.lr0}")
         if not 0.0 <= self.momentum < 1.0:
@@ -82,6 +91,8 @@ class TrainConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         ms = self.resolved_milestones()
+        if any(m < 0 for m in ms):
+            raise ConfigError(f"milestones must be >= 0, got {ms}")
         if any(b <= a for a, b in zip(ms, ms[1:])):
             raise ConfigError(f"milestones must be strictly increasing, got {ms}")
         if self.merge is not None:
@@ -198,16 +209,13 @@ def train_epoch(
     model: Model,
     data: DatasetHandle,
     cfg: TrainConfig,
-    phase: str,
     epoch: int,
     velocity: dict[str, np.ndarray],
 ) -> EpochStats:
-    """One pass over the train split. In the inmerge phase (and only
-    there, with a merge config present) a sweep precedes every forward
+    """One pass over the train split. In an inmerge epoch (``cfg.phase``;
+    only there, with a merge config present) a sweep precedes every forward
     pass. Shuffle/augment/merge randomness derives from the configured
     seeds plus the epoch index."""
-    if phase not in PHASES:
-        raise ConfigError(f"phase must be one of {PHASES}, got {phase!r}")
     check_head(model.arch, data)
     check_split(data, "train", scored=False)
     split = data.splits["train"]
@@ -219,7 +227,7 @@ def train_epoch(
         else None
     )
     merge_rng = None
-    if phase == "inmerge" and cfg.merge is not None:
+    if cfg.phase(epoch) == "inmerge" and cfg.merge is not None:
         merge_rng = seeding.stream(cfg.merge.seed, seeding.MERGE, epoch)
 
     loss_sum = 0.0
@@ -323,23 +331,17 @@ class ProtocolResult:
 
 
 def run_protocol(
-    arch: ArchConfig,
-    data: DatasetHandle,
-    cfg: TrainConfig,
-    checkpoint_path=None,
-    max_epochs: int | None = None,
+    arch: ArchConfig, data: DatasetHandle, cfg: TrainConfig, max_epochs: int | None = None
 ) -> ProtocolResult:
-    """Pretrain + merge-finetune protocol from scratch, after ``check_run``.
-
-    With ``checkpoint_path`` the full state is saved there after every
-    epoch, enabling ``resume_protocol``. ``max_epochs`` caps how many
-    epochs this call executes (for budgeted or deliberately interrupted
-    runs); the result then reflects the partial run: at 0, the untrained start.
+    """Pretrain + merge-finetune protocol from scratch, after ``check_run``;
+    saves nothing (module docstring). ``max_epochs`` caps how many epochs
+    this call executes; the result then reflects the partial run: at 0, the
+    untrained start.
     """
     check_run(arch, data, cfg)
     model = build_model(arch, cfg.seed)
     velocity = {k: np.zeros_like(v) for k, v in model.params.items()}
-    return _advance(model, data, cfg, TrainState(0, velocity), checkpoint_path, max_epochs)
+    return _advance(model, data, cfg, TrainState(0, velocity), None, max_epochs)
 
 
 def resume_protocol(
@@ -350,7 +352,7 @@ def resume_protocol(
     interrupted."""
     from .checkpoint import load  # local import to avoid a cycle
 
-    model, state, (_, cfg) = load(checkpoint_path)
+    model, state, cfg = load(checkpoint_path)
     check_run(model.arch, data, cfg)
     return _advance(model, data, cfg, state, checkpoint_path, max_epochs)
 
@@ -364,8 +366,7 @@ def _advance(model, data, cfg, state, checkpoint_path, max_epochs) -> ProtocolRe
             raise ConfigError(f"max_epochs must be None or an integer >= 0, got {max_epochs!r}")
         stop = min(stop, state.epochs_done + max_epochs)
     for epoch in range(state.epochs_done, stop):
-        phase = "pretrain" if epoch < cfg.epochs_pretrain else "inmerge"
-        stats = train_epoch(model, data, cfg, phase, epoch, state.velocity)
+        stats = train_epoch(model, data, cfg, epoch, state.velocity)
         bundle = evaluate(model, data, "val")
         metric = getattr(bundle, metric_name(data.task))
         is_best = state.best_metric is None or metric > state.best_metric
@@ -376,7 +377,7 @@ def _advance(model, data, cfg, state, checkpoint_path, max_epochs) -> ProtocolRe
         state.records.append(
             EpochRecord(
                 epoch=epoch,
-                phase=phase,
+                phase=cfg.phase(epoch),
                 lr=lr_at(epoch, cfg),
                 train_loss=stats.train_loss,
                 val_loss=bundle.loss,
@@ -390,7 +391,7 @@ def _advance(model, data, cfg, state, checkpoint_path, max_epochs) -> ProtocolRe
         )
         state.epochs_done = epoch + 1
         if checkpoint_path is not None:
-            save(model, state, (model.arch, cfg), checkpoint_path)
+            save(model, state, cfg, checkpoint_path)
     best_model = model.clone()
     if state.best_params is not None:
         for k, v in state.best_params.items():

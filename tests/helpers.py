@@ -286,6 +286,12 @@ def auroc_pair_oracle(scores: np.ndarray, labels: np.ndarray) -> float:
     return (concordant + 0.5 * tied) / (pos.size * neg.size)
 
 
+def cosine_oracle(a: np.ndarray, b: np.ndarray) -> float:
+    """Float64 dot(a, b) / (|a| |b|) by ``np.dot`` and ``np.linalg.norm``."""
+    a, b = np.ravel(a).astype(np.float64), np.ravel(b).astype(np.float64)
+    return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+
 def unallocatable_layers(out_channels: int, num_classes: int) -> list[dict]:
     """Explicit layers of a 1x28x28 model: a 1x1 conv with ``out_channels``
     kernels, a flatten and a matching dense head. Keep ``out_channels`` at

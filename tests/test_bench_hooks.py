@@ -78,13 +78,15 @@ def test_train_epoch_on_two_pool_workers_traces_the_calling_thread_only(monkeypa
     pool = ShardPool(2)
     monkeypatch.setattr(inmerge.layers, "_POOL", pool)
     data = synth_make("striped_textures", 8, 4, 1, 28, 28, seed=0)
-    cfg = TrainConfig(batch_size=16, seed=0, merge=MergeConfig(skip_layers=3, seed=0))
+    cfg = TrainConfig(
+        epochs_pretrain=0, batch_size=16, seed=0, merge=MergeConfig(skip_layers=3, seed=0)
+    )
     model = build_model(TINY, 0)
     velocity = {k: np.zeros_like(v) for k, v in model.params.items()}
     tracer = tracing.Tracer()
     try:
         with tracing.installed(tracer, tracing.hooks(full=True)):
-            inmerge.training.train_epoch(model, data, cfg, "inmerge", 0, velocity)
+            inmerge.training.train_epoch(model, data, cfg, 0, velocity)
     finally:
         if pool._executor is not None:
             pool._executor.shutdown()

@@ -35,7 +35,7 @@ def write_checkpoint(tmp_path, seed=3):
     cfg = TrainConfig(seed=seed, merge=MergeConfig(seed=seed))
     model = build_model(TINY, seed)
     path = tmp_path / "model.ckpt"
-    save(model, fresh_state(model), (TINY, cfg), path)
+    save(model, fresh_state(model), cfg, path)
     return model, cfg, path
 
 
@@ -50,7 +50,7 @@ def write_checkpoint_with_best(tmp_path, short_bias_in=None):
         tensors = {"param": model.params, "momentum": state.velocity, "best": state.best_params}
         tensors[short_bias_in]["conv0.bias"] = np.ones(1, np.float32)
     path = tmp_path / "best.ckpt"
-    save(model, state, (TINY, TrainConfig(seed=3)), path)
+    save(model, state, TrainConfig(seed=3), path)
     return path
 
 
@@ -72,8 +72,8 @@ def set_arch(**fields):
 class TestRoundtrip:
     def test_fresh_model_roundtrips_bit_exactly(self, tmp_path):
         model, cfg, path = write_checkpoint(tmp_path)
-        loaded, state, (arch, train_cfg) = load(path)
-        assert arch == TINY
+        loaded, state, train_cfg = load(path)
+        assert loaded.arch == TINY
         assert train_cfg == cfg
         assert state.epochs_done == 0 and state.best_params is None
         for name in model.param_names():
@@ -91,7 +91,7 @@ class TestRoundtrip:
         for v in state.velocity.values():
             v += 0.25
         path = tmp_path / "m.ckpt"
-        save(model, state, (TINY, cfg), path)
+        save(model, state, cfg, path)
         _, state2, _ = load(path)
         assert state2.epochs_done == 4
         assert state2.best_epoch == 2 and state2.best_metric == 0.875
@@ -108,7 +108,7 @@ class TestRoundtrip:
         trailer = json.loads(blob[end:])
         trailer["configs"]["merge"] = trailer["configs"]["train"]["merge"]
         path.write_bytes(blob[:end] + json.dumps(trailer, sort_keys=True).encode())
-        _, _, (_, train_cfg) = load(path)
+        _, _, train_cfg = load(path)
         assert train_cfg == cfg
 
     def test_save_is_deterministic(self, tmp_path):
@@ -307,6 +307,14 @@ def merge_run(epochs_inmerge):
     return data, cfg
 
 
+def save_start(tmp_path, data, cfg):
+    """The untrained start of a ``cfg`` run, saved as ``last.ckpt``, as every CLI run begins."""
+    start = run_protocol(TINY, data, cfg, max_epochs=0)
+    ckpt = tmp_path / "last.ckpt"
+    save(start.model, start.log, cfg, ckpt)
+    return ckpt
+
+
 class TestResume:
     @pytest.mark.parametrize(
         "epochs_inmerge, max_epochs", [(1, 1), (2, 2)], ids=["after-pretrain", "inside-inmerge"]
@@ -315,8 +323,8 @@ class TestResume:
         data, cfg = merge_run(epochs_inmerge)
         straight = run_protocol(TINY, data, cfg)
 
-        ckpt = tmp_path / "last.ckpt"
-        partial = run_protocol(TINY, data, cfg, checkpoint_path=ckpt, max_epochs=max_epochs)
+        ckpt = save_start(tmp_path, data, cfg)
+        partial = resume_protocol(ckpt, data, max_epochs=max_epochs)
         assert len(partial.log.records) == max_epochs
         resumed = resume_protocol(ckpt, data)
 
@@ -338,8 +346,8 @@ class TestResume:
         only the epochs run after the resume report theirs."""
         data, cfg = merge_run(2)
         straight = run_protocol(TINY, data, cfg)
-        ckpt = tmp_path / "last.ckpt"
-        run_protocol(TINY, data, cfg, checkpoint_path=ckpt, max_epochs=2)
+        ckpt = save_start(tmp_path, data, cfg)
+        resume_protocol(ckpt, data, max_epochs=2)
 
         def drop_sweeps(trailer):
             for record in trailer["state"]["records"]:
@@ -359,7 +367,7 @@ class TestResume:
         cfg = TrainConfig(epochs_pretrain=2, epochs_inmerge=1, merge=MergeConfig())
         model = build_model(arch, 0)
         path = tmp_path / "flat.ckpt"
-        save(model, fresh_state(model), (arch, cfg), path)
+        save(model, fresh_state(model), cfg, path)
         before = path.read_bytes()
         data = synth_make("striped_textures", 4, 4, 1, 28, 28, seed=9)
         with pytest.raises(ConfigError, match="merging needs a conv layer"):

@@ -73,10 +73,10 @@ def stopped_run(monkeypatch, epoch, argv):
     epoch numbered ``epoch``; returns its exit code."""
     real = training.train_epoch
 
-    def failing(model, data, cfg, phase, at, velocity):
+    def failing(model, data, cfg, at, velocity):
         if at == epoch:
             raise NumericError(f"injected in epoch {at}")
-        return real(model, data, cfg, phase, at, velocity)
+        return real(model, data, cfg, at, velocity)
 
     monkeypatch.setattr(training, "train_epoch", failing)
     try:
@@ -149,6 +149,32 @@ class TestTrainCommand:
         cfg = write_config(tmp_path, doc)
         assert main(["train", "--config", str(cfg)]) == 2
         assert "stride" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "pos, field, value",
+        [(1, "stride", 2), (2, "padding", 1), (3, "window", 5), (4, "kernel_h", 9)],
+        ids=["relu-stride", "pool-padding", "flatten-window", "dense-kernel_h"],
+    )
+    def test_field_foreign_to_its_layer_kind_exits_2(
+        self, dataset_dir, tmp_path, capsys, pos, field, value
+    ):
+        layers = [
+            {"kind": "conv2d", "out_channels": 2, "in_channels": 1,
+             "kernel_h": 3, "kernel_w": 3, "padding": 1},
+            {"kind": "relu"},
+            {"kind": "maxpool2d", "window": 2, "stride": 2},
+            {"kind": "flatten"},
+            {"kind": "dense", "in_features": 2 * 14 * 14, "out_features": 2},
+        ]
+        layers[pos][field] = value
+        doc = run_config(dataset_dir, tmp_path / "out", with_merge=False)
+        doc["arch"] = {"input_shape": [1, 28, 28], "num_classes": 2, "layers": layers}
+        cfg = write_config(tmp_path, doc)
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: layer {pos} ({layers[pos]['kind']}): "), err
+        assert f"{field!r}: {value}" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("log2_channels", [40, 62])  # past memory; past numpy's index range
     def test_unallocatable_model_exits_2_before_any_file(
@@ -291,7 +317,7 @@ class TestEvalCommand:
             velocity={k: np.zeros_like(v) for k, v in model.params.items()},
         )
         ckpt = tmp_path / "ml.ckpt"
-        checkpoint.save(model, state, (arch, TrainConfig(seed=0)), ckpt)
+        checkpoint.save(model, state, TrainConfig(seed=0), ckpt)
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data_dir)]) == 0
         bundle = json.loads(capsys.readouterr().out)
         aurocs = bundle["per_class_auroc"] + [bundle["mean_auroc"]]
@@ -360,7 +386,7 @@ class TestAnalyzeCommand:
             velocity={k: np.zeros_like(v) for k, v in model.params.items()},
         )
         path = tmp_path / name
-        checkpoint.save(model, state, (model.arch, TrainConfig(seed=0)), path)
+        checkpoint.save(model, state, TrainConfig(seed=0), path)
         return path
 
     def test_row_count_is_n_choose_2(self, tmp_path, capsys):
@@ -436,7 +462,7 @@ def test_image_shape_mismatch_exits_2_naming_both(tmp_path, capsys, command):
         model = build_model(arch, seed=0)
         velocity = {k: np.zeros_like(v) for k, v in model.params.items()}
         ckpt = tmp_path / "tiny.ckpt"
-        checkpoint.save(model, TrainState(0, velocity), (arch, TrainConfig()), ckpt)
+        checkpoint.save(model, TrainState(0, velocity), TrainConfig(), ckpt)
         argv = ["eval", "--checkpoint", str(ckpt), "--data", str(data_dir), "--out", str(out)]
     elif command == "ablate":
         argv = ["ablate", "--config", str(cfg), "--axis", "p", "--values", "0.0",
@@ -501,7 +527,7 @@ def test_unscoreable_split_exits_3_before_any_work(tmp_path, capsys, command, sp
         model = build_model(arch, seed=0)
         velocity = {k: np.zeros_like(v) for k, v in model.params.items()}
         ckpt = tmp_path / "ml.ckpt"
-        checkpoint.save(model, TrainState(0, velocity), (arch, TrainConfig()), ckpt)
+        checkpoint.save(model, TrainState(0, velocity), TrainConfig(), ckpt)
         argv = ["eval", "--checkpoint", str(ckpt), "--data", str(data_dir), "--split", split,
                 "--out", str(out)]
     elif command == "ablate":
@@ -623,7 +649,7 @@ class TestAblateCommand:
                 cell = out / f"p_{value}" / f"seed_{seed}"
                 assert tree_bytes(cell) == tree_bytes(alone), cell
                 if epochs[1] == 0:  # the cell trained no epoch of its own
-                    _, _, (_, cfg) = checkpoint.load(cell / "last.ckpt")
+                    _, _, cfg = checkpoint.load(cell / "last.ckpt")
                     assert cfg.merge.merge_prob == value
 
     def test_stopped_cell_continues_bit_exactly(self, dataset_dir, tmp_path, capsys, monkeypatch):

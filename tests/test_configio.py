@@ -70,7 +70,7 @@ def files(tmp_path_factory):
         best_epoch=0, best_metric=0.5, records=[RECORD],
     )
     cfg = TrainConfig(epochs_pretrain=0, epochs_inmerge=2, seed=0, merge=MergeConfig(seed=0))
-    checkpoint.save(model, state, (TINY, cfg), root / "model.ckpt")
+    checkpoint.save(model, state, cfg, root / "model.ckpt")
     run = {
         "arch": {"preset": "tiny_cnn", "input_shape": [1, 28, 28], "num_classes": 2},
         "data": {"dir": str(root / "nodata")},
@@ -166,6 +166,7 @@ REGRESSIONS = {
     "run-lr0-nan": ("run", put("train.lr0", float("nan")), "train.lr0"),
     "run-seed-bool": ("run", put("train.seed", True), "train.seed"),
     "run-milestones-float": ("run", put("train.milestones", [1.5]), "train.milestones[0]"),
+    "run-milestones-negative": ("run", put("train.milestones", [-5]), "milestones must be >= 0"),
     "run-skip_layers-float": ("run", put("merge.skip_layers", 2.5), "merge.skip_layers"),
     "run-input_shape-mixed": (
         "run", put("arch.input_shape", [1, 28.7, "28"]), "arch.input_shape[1]"

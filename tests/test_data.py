@@ -122,6 +122,10 @@ class TestSynth:
         c = synth_make("striped_textures", 10, 2, 1, 16, 16, seed=8)
         assert not np.array_equal(a.splits["train"].images, c.splits["train"].images)
 
+    def test_negative_seed_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            synth_make("striped_textures", 10, 2, 1, 16, 16, seed=-1)
+
     def test_split_rounding_rule(self):
         # 35 samples at 70/15/15: val = floor(5.25) = 5, test = 5, train = 25
         handle = synth_make("gauss_blobs", 7, 5, 1, 8, 8, seed=0)

@@ -101,6 +101,6 @@ def test_train_epoch_frees_each_batch_before_the_next_forward(monkeypatch):
     cfg = TrainConfig(epochs_pretrain=1, epochs_inmerge=0, batch_size=8, seed=0)
     model = build_model(TINY, cfg.seed)
     vel = {k: np.zeros_like(v) for k, v in model.params.items()}
-    train_epoch(model, data, cfg, "pretrain", 0, vel)
+    train_epoch(model, data, cfg, 0, vel)
     assert len(forwards) > 2
     assert forwards == [0] * len(forwards)

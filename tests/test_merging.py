@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import cosine_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -419,6 +420,20 @@ class TestSimilarityStats:
         w = model.params["conv1.weight"]
         for i, j, s in stats.pairs[:10]:
             assert s == pytest.approx(cosine_similarity(w[i], w[j]), abs=1e-12)
+
+    @pytest.mark.parametrize("ordinal", [0, 1])
+    def test_every_pair_matches_an_independent_oracle(self, ordinal):
+        model = small_model(seed=3)
+        w = model.params[f"conv{ordinal}.weight"]
+        stats = similarity_stats(model, ordinal)
+        n = len(w)
+        assert [(i, j) for i, j, _ in stats.pairs] == [
+            (i, j) for i in range(n) for j in range(i + 1, n)
+        ]
+        for i, j, s in stats.pairs:
+            want = cosine_oracle(w[i], w[j])
+            assert s == pytest.approx(want, abs=1e-12), (i, j)
+            assert cosine_similarity(w[i], w[j]) == pytest.approx(want, abs=1e-12), (i, j)
 
 
 class TestMergeConfig:

@@ -97,6 +97,11 @@ def test_explicit_layer_list_and_shape_validation():
         build_model(bad, seed=0)
 
 
+def test_negative_seed_is_a_config_error():
+    with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+        build_model(TINY, seed=-1)
+
+
 def test_head_mismatch_rejected():
     layers = (flatten_spec(), dense_spec(4, 3))
     arch = ArchConfig(input_shape=(1, 2, 2), num_classes=2, layers=layers)

@@ -92,6 +92,17 @@ class TestLrSchedule:
         with pytest.raises(ConfigError):
             TrainConfig(batch_size=0).validate()
 
+    def test_negative_milestone_rejected(self):
+        with pytest.raises(ConfigError, match=re.escape("milestones must be >= 0, got (-5,)")):
+            TrainConfig(milestones=(-5,)).validate()
+        TrainConfig(milestones=(0,)).validate()  # the default of a 1-epoch run
+
+    @pytest.mark.parametrize("name", ["lr0", "gamma", "weight_decay"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["inf", "nan"])
+    def test_non_finite_rate_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite, got {value}"):
+            TrainConfig(**{name: value}).validate()
+
     def test_zero_total_epochs_rejected(self):
         with pytest.raises(ConfigError, match="epochs"):
             TrainConfig(epochs_pretrain=0, epochs_inmerge=0).validate()
@@ -107,7 +118,7 @@ class TestTrainEpoch:
         )
         model = build_model(TINY, cfg.seed)
         vel = {k: np.zeros_like(v) for k, v in model.params.items()}
-        stats = train_epoch(model, data, cfg, "pretrain", 0, vel)
+        stats = train_epoch(model, data, cfg, 0, vel)
         assert stats.sweeps == 0
 
     def test_iteration_count_and_sweep_count(self):
@@ -119,21 +130,21 @@ class TestTrainEpoch:
         )
         model = build_model(TINY, cfg.seed)
         vel = {k: np.zeros_like(v) for k, v in model.params.items()}
-        stats = train_epoch(model, data, cfg, "inmerge", 0, vel)
+        stats = train_epoch(model, data, cfg, 0, vel)
         assert stats.iterations == -(-n // 10)
         assert stats.sweeps == stats.iterations
 
     def test_p_zero_inmerge_epoch_matches_pretrain_epoch(self):
         data = small_data()
-        cfg = TrainConfig(
-            epochs_pretrain=1, epochs_inmerge=0, batch_size=16, seed=3,
-            merge=MergeConfig(merge_prob=0.0, seed=3),
-        )
         results = []
-        for phase in ("pretrain", "inmerge"):
+        for epochs_pretrain in (1, 0):  # same total epochs, so the same lr schedule
+            cfg = TrainConfig(
+                epochs_pretrain=epochs_pretrain, epochs_inmerge=1 - epochs_pretrain,
+                batch_size=16, seed=3, merge=MergeConfig(merge_prob=0.0, seed=3),
+            )
             model = build_model(TINY, cfg.seed)
             vel = {k: np.zeros_like(v) for k, v in model.params.items()}
-            train_epoch(model, data, cfg, phase, 0, vel)
+            train_epoch(model, data, cfg, 0, vel)
             results.append({k: v.copy() for k, v in model.params.items()})
         assert params_equal(results[0], results[1])
 
@@ -143,7 +154,7 @@ class TestTrainEpoch:
         model = build_model(TINY, 0)  # 4-class head
         vel = {k: np.zeros_like(v) for k, v in model.params.items()}
         with pytest.raises(ConfigError):
-            train_epoch(model, data, cfg, "pretrain", 0, vel)
+            train_epoch(model, data, cfg, 0, vel)
 
     def test_divergence_raises_numeric_error(self):
         data = small_data()
@@ -152,7 +163,7 @@ class TestTrainEpoch:
         vel = {k: np.zeros_like(v) for k, v in model.params.items()}
         with np.errstate(over="ignore"), pytest.raises(NumericError):
             for e in range(5):
-                train_epoch(model, data, cfg, "pretrain", e, vel)
+                train_epoch(model, data, cfg, e, vel)
 
     def test_layer_error_in_forward_names_epoch_and_batch(self):
         data = small_data()
@@ -160,7 +171,7 @@ class TestTrainEpoch:
         model.params["conv1.weight"][0, 0, 0, 0] = np.nan
         vel = {k: np.zeros_like(v) for k, v in model.params.items()}
         with pytest.raises(NumericError) as info:
-            train_epoch(model, data, TrainConfig(batch_size=16, seed=0), "pretrain", 2, vel)
+            train_epoch(model, data, TrainConfig(batch_size=16, seed=0), 2, vel)
         assert str(info.value) == (
             "epoch 2 batch 0: layer 2 (conv1) forward: conv2d_forward: non-finite values in result"
         )
@@ -179,7 +190,7 @@ class TestTrainEpoch:
         model = build_model(TINY, 0)
         vel = {k: np.zeros_like(v) for k, v in model.params.items()}
         with pytest.raises(NumericError) as info:
-            train_epoch(model, data, TrainConfig(batch_size=16, seed=0), "pretrain", 1, vel)
+            train_epoch(model, data, TrainConfig(batch_size=16, seed=0), 1, vel)
         assert str(info.value) == (
             "epoch 1 batch 1: layer 16 (dense0) backward: dense_backward: non-finite values in result"
         )
@@ -307,7 +318,7 @@ class TestProtocol:
         data = small_data()
         cfg = TrainConfig(epochs_pretrain=1, epochs_inmerge=0, batch_size=16, seed=4)
         start = run_protocol(TINY, data, cfg, max_epochs=0)
-        save(start.model, start.log, (TINY, cfg), tmp_path / "start.ckpt")
+        save(start.model, start.log, cfg, tmp_path / "start.ckpt")
         named = re.escape(f"got {max_epochs!r}")
         with pytest.raises(ConfigError, match=named):
             run_protocol(TINY, data, cfg, max_epochs=max_epochs)
@@ -346,7 +357,7 @@ class TestWholeStackRegressions:
         vel = {k: np.zeros_like(v) for k, v in model.params.items()}
         reached = None
         for epoch in range(200):
-            stats = train_epoch(model, mini, cfg, "pretrain", epoch, vel)
+            stats = train_epoch(model, mini, cfg, epoch, vel)
             if stats.train_loss < 0.05:
                 reached = epoch
                 break
